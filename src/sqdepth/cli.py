@@ -45,6 +45,9 @@ EXIT_BUDGET = 3
 
 CHARS_ENV = "SQDEPTH_CHARS"
 STATEMENTS = ("floor", "step", "step-open")
+PARANOID_HELP = (
+    "check that homology vanishes off squarefree degrees and off the lcm lattice (n <= 6)"
+)
 
 
 def _parse_chars(text: str) -> tuple[int, ...]:
@@ -146,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="use the full default characteristic profile (ignores --char)",
     )
-    p.add_argument("--paranoid", action="store_true", help="recompute every rank exactly")
+    p.add_argument("--paranoid", action="store_true", help=PARANOID_HELP)
     p.add_argument("--witness", action="store_true", help="print homology witnesses")
 
     p = sub.add_parser("criteria", parents=[common], help="numeric depth upper-bound tests")
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="run every engine on one instance")
     p.add_argument("file", help="ideal pair file (text or JSON)")
-    p.add_argument("--paranoid", action="store_true", help="recompute every rank exactly")
+    p.add_argument("--paranoid", action="store_true", help=PARANOID_HELP)
 
     p = sub.add_parser(
         "verify", parents=[common], help="check a statement over a family; failures are bugs"

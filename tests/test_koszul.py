@@ -1,11 +1,19 @@
 """Koszul strand homology and depth over several coefficient fields."""
 
+import functools
+import itertools
+import operator
+import re
+
 import pytest
 
+from sqdepth import koszul
 from sqdepth.koszul import (
     DepthResult,
     FieldSpec,
     StrandInvariantError,
+    _check_complex,
+    _strand_spaces,
     build_strand,
     depth,
     depth_profile,
@@ -36,6 +44,35 @@ def test_field_spec():
 
 def test_strand_invariant_error_is_assertion():
     assert issubclass(StrandInvariantError, AssertionError)
+
+
+def test_check_complex_rejects_one_flipped_sign():
+    # Koszul complex on x1, x2: d2(e12) = e2 - e1, d1(e1) = d1(e2) = e0.
+    bases = [(0,), (1, 2), (3,)]
+    _check_complex(bases, [[], [[1, 1]], [[-1], [1]]])
+    with pytest.raises(StrandInvariantError, match=r"d_1 after d_2 is nonzero at \(0, 0\)"):
+        _check_complex(bases, [[], [[1, 1]], [[1], [1]]])
+
+
+def test_check_complex_checks_every_entry():
+    # The full Koszul complex on four variables: flipping any single nonzero
+    # entry breaks d d = 0, and the error names a nonzero entry of the product.
+    bases, boundaries = _strand_spaces(pair(4, [[]]), (1, 1, 1, 1))
+    _check_complex(bases, boundaries)
+    for i in range(1, len(boundaries)):
+        for r, row in enumerate(boundaries[i]):
+            for c, x in enumerate(row):
+                if not x:
+                    continue
+                broken = [[list(rw) for rw in m] for m in boundaries]
+                broken[i][r][c] = -x
+                with pytest.raises(StrandInvariantError) as err:
+                    _check_complex(bases, broken)
+                k, rr, cc = map(int, re.search(
+                    r"d_(\d+) after d_\d+ is nonzero at \((\d+), (\d+)\)", str(err.value)
+                ).groups())
+                a, b = broken[k], broken[k + 1]
+                assert sum(a[rr][m] * b[m][cc] for m in range(len(b))) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +161,13 @@ def test_paranoid_matches_normal_on_small_pairs():
     assert depth(p, paranoid=True).depth == depth(p).depth
 
 
+def test_paranoid_catches_homology_off_the_scan(monkeypatch):
+    # m_3 has homology at x1x2 (H_1); a scan that skipped it must be caught.
+    monkeypatch.setattr(koszul, "_scan_masks", lambda p: [0b111])
+    with pytest.raises(StrandInvariantError, match="off the lcm lattices"):
+        depth(pair(3, [[1], [2], [3]]), paranoid=True)
+
+
 def test_paranoid_refuses_large_rings():
     with pytest.raises(ValueError):
         depth(pair(7, [[1]]), paranoid=True)
@@ -155,3 +199,36 @@ def test_witness_strand_carries_top_homology():
         strand = build_strand(p, res.witness_sigma, res.field)
         assert strand.homology[res.witness_index] > 0
         assert res.depth == p.n - res.proj_dim
+
+
+# ---------------------------------------------------------------------------
+# the lcm-lattice reduction of the scan
+
+
+def lcm_lattice(masks):
+    """Every lcm (OR) of a nonempty subset of the generator masks."""
+    return {
+        functools.reduce(operator.or_, subset)
+        for size in range(1, len(masks) + 1)
+        for subset in itertools.combinations(masks, size)
+    }
+
+
+def test_homology_vanishes_off_lcm_lattices():
+    fields = [FieldSpec(c) for c in (0, 2, 3)]
+    for n in (1, 2, 3, 4):
+        for p in enumerate_all_pairs(n):
+            lattice = lcm_lattice(p.i_masks) | lcm_lattice(p.j_masks)
+            assert set(koszul._scan_masks(p)) == lattice
+            for mask in range(1 << n):
+                if mask in lattice:
+                    continue
+                for f in fields:
+                    assert not any(build_strand(p, Monomial(mask, n), f).homology), (p, mask, f)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 16])
+def test_depth_of_path_ideal_with_free_variables(n):
+    # Depth is 6 at n = 8 and each further free variable raises it by one.
+    prof = depth_profile(pair(n, [[1, 2], [2, 3], [3, 4], [4, 5]]))
+    assert {c: r.depth for c, r in prof.items()} == {c: 6 + (n - 8) for c in (0, 2, 3)}
