@@ -23,7 +23,7 @@ import sys
 
 from .ideal_io import load_ideal
 from .koszul import FieldSpec
-from .lab import InstanceFamily, hunt_counterexamples
+from .lab import STATEMENTS, InstanceFamily, hunt_counterexamples
 from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted
 from .report import (
     build_analysis_report,
@@ -44,7 +44,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 CHARS_ENV = "SQDEPTH_CHARS"
-STATEMENTS = ("floor", "step", "step-open")
 PARANOID_HELP = (
     "check that homology vanishes off squarefree degrees and off the lcm lattice (n <= 6)"
 )
@@ -77,10 +76,6 @@ _GLOBAL_FLAGS = (
     (("--json",), {"action": "store_true", "help": "emit the JSON report instead of text"}),
     (("--seed",), {"type": int, "help": "random seed for sampled families (default 0)"}),
     (
-        ("--threads",),
-        {"type": int, "help": "accepted for interface stability; checks run sequentially"},
-    ),
-    (
         ("--budget",),
         {"type": int, "help": f"search node budget (default {DEFAULT_NODE_BUDGET})"},
     ),
@@ -91,8 +86,8 @@ _GLOBAL_FLAGS = (
     (("--timing",), {"action": "store_true", "help": "fill elapsed_ms in reports"}),
 )
 
-_GLOBAL_DEFAULTS = {"json": False, "seed": 0, "threads": 1, "budget": DEFAULT_NODE_BUDGET,
-                    "chars": None, "timing": False}
+_GLOBAL_DEFAULTS = {"json": False, "seed": 0, "budget": DEFAULT_NODE_BUDGET, "chars": None,
+                    "timing": False}
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -144,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--char", type=int, action="append", metavar="P",
         help="single characteristic (repeatable; overrides --chars)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="use the full default characteristic profile (ignores --char)",
     )
     p.add_argument("--paranoid", action="store_true", help=PARANOID_HELP)
     p.add_argument("--witness", action="store_true", help="print homology witnesses")
@@ -201,8 +192,9 @@ def _cmd_sdepth(args) -> int:
 def _cmd_depth(args) -> int:
     pair, warnings = load_ideal(args.file)
     _warn(warnings)
-    chars = (0, 2, 3) if args.profile else _resolve_chars(args)
-    report = build_depth_report(pair, chars=chars, paranoid=args.paranoid, timing=args.timing)
+    report = build_depth_report(
+        pair, chars=_resolve_chars(args), paranoid=args.paranoid, timing=args.timing
+    )
     _emit(args, report, lambda r: render_depth_text(r, witness=args.witness))
     return EXIT_OK
 
@@ -253,7 +245,8 @@ def _run_family_check(args, check: str) -> int:
     )
     fields = tuple(FieldSpec(c) for c in _resolve_chars(args))
     hunt = hunt_counterexamples(
-        fam, check, fields=fields, limit=limit, seed=args.seed, timing=args.timing
+        fam, check, fields=fields, limit=limit, seed=args.seed, timing=args.timing,
+        budget=args.budget,
     )
     report = wrap_hunt_report(hunt)
     _emit(args, report, render_hunt_text)
@@ -285,9 +278,6 @@ def _warn(warnings: list[str]) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
     except BudgetExhausted as exc:

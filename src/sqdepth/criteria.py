@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .monomial import IdealPair, PosetLayers, build_poset
+from .monomial import IdealPair, InvariantError, PosetLayers, build_poset
 
 
 class OutOfRange(ValueError):
@@ -42,7 +42,8 @@ class CriterionVerdict:
     fired: bool
 
     def __post_init__(self):
-        assert self.fired == (self.lhs < self.rhs)
+        if self.fired != (self.lhs < self.rhs):
+            raise InvariantError(f"fired={self.fired} but lhs={self.lhs}, rhs={self.rhs}")
 
     @property
     def implied_upper_bound(self) -> int | None:

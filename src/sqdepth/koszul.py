@@ -29,10 +29,10 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import is_prime, rank_char0, rank_mod_p
-from .monomial import IdealPair, Monomial, mask_key, masks_contain
+from .monomial import IdealPair, InvariantError, Monomial, mask_key, masks_contain
 
 
-class StrandInvariantError(AssertionError):
+class StrandInvariantError(InvariantError):
     """A constructed strand failed boundary(boundary) = 0."""
 
 

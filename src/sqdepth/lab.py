@@ -23,9 +23,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .koszul import FieldSpec, depth_profile
+from .ideal_io import pair_to_dict
+from .koszul import DepthResult, FieldSpec, depth_profile
 from .monomial import (
     IdealPair,
+    InvariantError,
     LcmClass,
     Monomial,
     PosetEmpty,
@@ -38,7 +40,7 @@ from .monomial import (
     subquotient_pair,
     sum_masks,
 )
-from .partition import sdepth_decision, sdepth_exact
+from .partition import DEFAULT_NODE_BUDGET, SdepthResult, sdepth_decision, sdepth_exact
 
 
 class EmptyFamily(ValueError):
@@ -314,20 +316,38 @@ class CheckResult:
     details: dict = field(compare=False, default_factory=dict)
 
 
-def _depths(pair: IdealPair, fields) -> dict[int, int]:
-    profile = depth_profile(pair, fields=fields)
-    return {char: res.depth for char, res in profile.items()}
+@dataclass(frozen=True)
+class Analysis:
+    """The engine results of one instance, each computed on its first read.
 
+    Statements and reports read these fields and call no engine themselves.
+    A read that raises (an exhausted budget, an engine error) caches
+    nothing, so callers keep the exception rather than read again.
+    """
 
-def check_depth_floor(inst: IdealPair, fields=DEFAULT_FIELDS) -> CheckResult:
-    """sdepth = d must force depth = d over every field; skip otherwise."""
-    res = sdepth_exact(inst)
-    if res.value > inst.d:
-        return CheckResult("skip", inst, {"sdepth": res.value})
-    depths = _depths(inst, fields)
-    bad = {c: v for c, v in depths.items() if v != inst.d}
-    status = "fail" if bad else "pass"
-    return CheckResult(status, inst, {"sdepth": res.value, "depths": depths})
+    pair: IdealPair
+    fields: tuple = DEFAULT_FIELDS
+    budget: int | None = DEFAULT_NODE_BUDGET
+    paranoid: bool = False
+
+    @functools.cached_property
+    def sdepth(self) -> SdepthResult:
+        res = sdepth_exact(self.pair, budget=self.budget)
+        if res.value < self.pair.d:
+            raise InvariantError(f"sdepth {res.value} below d = {self.pair.d}")
+        return res
+
+    @functools.cached_property
+    def profile(self) -> dict[int, DepthResult]:
+        profile = depth_profile(self.pair, fields=self.fields, paranoid=self.paranoid)
+        low = {c: r.depth for c, r in profile.items() if r.depth < self.pair.d}
+        if low:
+            raise InvariantError(f"depth below d = {self.pair.d}: {low}")
+        return profile
+
+    @functools.cached_property
+    def depths(self) -> dict[int, int]:
+        return {char: res.depth for char, res in self.profile.items()}
 
 
 def step_shape(inst: IdealPair) -> str:
@@ -348,34 +368,52 @@ def step_shape(inst: IdealPair) -> str:
     )
 
 
-def check_depth_step(inst: IdealPair, fields=DEFAULT_FIELDS) -> CheckResult:
+def _sdepth_bounds_depth(a: Analysis, t: int, **details) -> CheckResult:
+    """Skip unless sdepth = t; then depth must be at most t over every field."""
+    value = a.sdepth.value
+    details = {"sdepth": value, **details}
+    if value != t:
+        return CheckResult("skip", a.pair, details)
+    depths = a.depths
+    status = "fail" if any(v > t for v in depths.values()) else "pass"
+    return CheckResult(status, a.pair, {**details, "depths": depths})
+
+
+def floor_statement(a: Analysis) -> CheckResult:
+    """sdepth = d must force depth = d (depth >= d always) over every field."""
+    return _sdepth_bounds_depth(a, a.pair.d)
+
+
+def step_statement(a: Analysis) -> CheckResult:
     """For the proved shapes: sdepth = d+1 must force depth <= d+1."""
-    shape = step_shape(inst)
-    res = sdepth_exact(inst)
-    if res.value != inst.d + 1:
-        return CheckResult("skip", inst, {"sdepth": res.value, "shape": shape})
-    depths = _depths(inst, fields)
-    bad = {c: v for c, v in depths.items() if v > inst.d + 1}
-    status = "fail" if bad else "pass"
-    return CheckResult(status, inst, {"sdepth": res.value, "shape": shape, "depths": depths})
+    return _sdepth_bounds_depth(a, a.pair.d + 1, shape=step_shape(a.pair))
+
+
+def step_open_statement(a: Analysis) -> CheckResult:
+    """The unrestricted step statement: no shape filter, findings are news."""
+    return _sdepth_bounds_depth(a, a.pair.d + 1)
+
+
+STATEMENTS = {
+    "floor": floor_statement,
+    "step": step_statement,
+    "step-open": step_open_statement,
+}
+
+
+def check_depth_floor(inst: IdealPair, fields=DEFAULT_FIELDS) -> CheckResult:
+    """``floor_statement`` on a fresh analysis of the pair."""
+    return floor_statement(Analysis(inst, fields))
+
+
+def check_depth_step(inst: IdealPair, fields=DEFAULT_FIELDS) -> CheckResult:
+    """``step_statement`` on a fresh analysis of the pair."""
+    return step_statement(Analysis(inst, fields))
 
 
 def check_depth_step_open(inst: IdealPair, fields=DEFAULT_FIELDS) -> CheckResult:
-    """The unrestricted step statement: no shape filter, findings are news."""
-    res = sdepth_exact(inst)
-    if res.value != inst.d + 1:
-        return CheckResult("skip", inst, {"sdepth": res.value})
-    depths = _depths(inst, fields)
-    bad = {c: v for c, v in depths.items() if v > inst.d + 1}
-    status = "fail" if bad else "pass"
-    return CheckResult(status, inst, {"sdepth": res.value, "depths": depths})
-
-
-_CHECKS = {
-    "floor": check_depth_floor,
-    "step": check_depth_step,
-    "step-open": check_depth_step_open,
-}
+    """``step_open_statement`` on a fresh analysis of the pair."""
+    return step_open_statement(Analysis(inst, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +611,6 @@ def truncation_pair(n: int, gens: tuple[int, ...], kept_c: tuple[int, ...]) -> I
     return IdealPair.from_masks(n, gens, tuple(j_gens))
 
 
-def _mask_of(vs) -> int:
-    return sum(1 << (v - 1) for v in vs)
-
-
-def _class_pattern(n: int, gens: tuple[int, ...]) -> tuple:
-    """(sorted degree list of the pairwise lcms, number of distinct lcms)."""
-    ls = [a | b for a, b in itertools.combinations(gens, 2)]
-    return tuple(sorted(m.bit_count() for m in ls)), len(set(ls))
-
-
 def _multiplier_sets(n: int, w_mask: int, banned: set[int]) -> list[int]:
     return [
         w_mask | 1 << t
@@ -734,7 +762,8 @@ def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
     """Read h: B\\{b} -> C off a normalized sdepth-(d+2) partition of I_b/J_b.
 
     Every element of B\\{b} must head an interval ending in degree d+2;
-    injectivity and image size s-1 <= q are asserted.
+    a top outside I/J, a non-injective h or an image larger than q raises
+    InvariantError.
     """
     layers = build_poset(inst)
     rest = [m for m in layers.b_layer if m.mask != b.mask]
@@ -748,11 +777,14 @@ def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
             raise NotNormalized(f"{bp} does not head an interval")
         if iv.hi.degree != inst.d + 2:
             raise NotNormalized(f"interval at {bp} ends at degree {iv.hi.degree}")
-        assert inst.contains(iv.hi), "interval tops stay inside the original module"
+        if not inst.contains(iv.hi):
+            raise InvariantError(f"interval top {iv.hi} leaves the original module")
         assignments[bp] = iv.hi
     image = {c.mask for c in assignments.values()}
-    assert len(image) == len(assignments), "interval tops must be distinct"
-    assert len(image) <= layers.q, "image cannot exceed |C|"
+    if len(image) != len(assignments):
+        raise InvariantError("interval tops must be distinct")
+    if len(image) > layers.q:
+        raise InvariantError(f"image of size {len(image)} exceeds |C| = {layers.q}")
     return HMap(b, assignments)
 
 
@@ -812,27 +844,16 @@ def find_maximal_bad_paths(inst: IdealPair, h: HMap, max_reports: int = 100_000)
 # counterexample hunting
 
 
-def _instance_dict(pair: IdealPair) -> dict:
+def _failure_record(a: Analysis) -> dict:
+    """The failing instance with the sdepth certificate and depths it already holds."""
     return {
-        "n": pair.n,
-        "I": [list(m.variables) for m in pair.gens_i],
-        "J": [list(m.variables) for m in pair.gens_j],
+        "instance": pair_to_dict(a.pair),
+        "details": {
+            "sdepth": a.sdepth.value,
+            "certificate": [[str(iv.lo), str(iv.hi)] for iv in a.sdepth.certificate.intervals],
+            "depths": {str(c): v for c, v in a.depths.items()},
+        },
     }
-
-
-def _failure_record(result: CheckResult) -> dict:
-    inst = result.instance
-    record = {"instance": _instance_dict(inst), "details": {}}
-    det = result.details
-    if "sdepth" in det:
-        record["details"]["sdepth"] = det["sdepth"]
-        res = sdepth_exact(inst)
-        record["details"]["certificate"] = [
-            [str(iv.lo), str(iv.hi)] for iv in res.certificate.intervals
-        ]
-    if "depths" in det:
-        record["details"]["depths"] = {str(c): v for c, v in det["depths"].items()}
-    return record
 
 
 def hunt_counterexamples(
@@ -842,16 +863,19 @@ def hunt_counterexamples(
     limit: int | None = None,
     seed: int = 0,
     timing: bool = False,
+    budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Run a statement check over a family; return a reproducible report.
 
     ``check`` is "floor", "step" or "step-open".  Failures carry the full
     instance and certificates.  For "floor" and "step" any failure is an
     implementation bug; for "step-open" failures are genuine findings.
+    ``budget`` caps each instance's sdepth search; an exhausted search
+    raises BudgetExhausted.
     """
-    if check not in _CHECKS:
+    if check not in STATEMENTS:
         raise ValueError(f"unknown check {check!r}")
-    fn = _CHECKS[check]
+    statement = STATEMENTS[check]
     t0 = time.monotonic()
     if fam.j_policy == "random":
         stream = sample_instances(fam, limit if limit is not None else 1000, seed)
@@ -862,14 +886,15 @@ def hunt_counterexamples(
     counts = {"pass": 0, "fail": 0, "skip": 0}
     failures = []
     for inst in stream:
+        analysis = Analysis(inst, fields, budget)
         try:
-            result = fn(inst, fields)
+            result = statement(analysis)
         except HypothesisMismatch:
             counts["skip"] += 1
             continue
         counts[result.status] += 1
         if result.status == "fail":
-            failures.append(_failure_record(result))
+            failures.append(_failure_record(analysis))
     return {
         "family": {
             "n": fam.n,

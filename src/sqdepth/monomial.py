@@ -26,6 +26,10 @@ class PosetEmpty(ValueError):
     """The set of squarefree monomials in I \\ J is empty."""
 
 
+class InvariantError(AssertionError):
+    """A proved invariant failed: a bug, raised even under ``python -O``."""
+
+
 def mask_degree(mask: int) -> int:
     return mask.bit_count()
 

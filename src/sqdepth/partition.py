@@ -368,7 +368,7 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
     return HallCheck(holds=False, matching=(), deficient=tuple(left[u] for u in violator))
 
 
-def _split_box(base: int, free: tuple[int, ...], quota: int, n: int) -> list[tuple[int, int]]:
+def _split_box(base: int, free: tuple[int, ...], quota: int) -> list[tuple[int, int]]:
     """Partition {base | S : S subset of free} into intervals: every bottom
     with more than ``quota`` missing degrees gets topped exactly ``quota``
     steps up, the rest become singletons. Requires len(free) >= quota."""
@@ -391,7 +391,7 @@ def _split_box(base: int, free: tuple[int, ...], quota: int, n: int) -> list[tup
         return [(base, top)]
     z = free[-1]
     rest = free[:-1]
-    return _split_box(base, rest, quota, n) + _split_box(base | 1 << z, rest, quota - 1, n)
+    return _split_box(base, rest, quota) + _split_box(base | 1 << z, rest, quota - 1)
 
 
 def normalize_partition(
@@ -423,6 +423,6 @@ def normalize_partition(
         else:
             free = tuple(v for v in range(n) if (iv.hi.mask >> v & 1) and not (iv.lo.mask >> v & 1))
             quota = target - iv.lo.degree
-            for lo, hi in _split_box(iv.lo.mask, free, quota, n):
+            for lo, hi in _split_box(iv.lo.mask, free, quota):
                 out.append(Interval(Monomial(lo, n), Monomial(hi, n)))
     return IntervalPartition.from_intervals(out)

@@ -15,15 +15,16 @@ from importlib import resources
 from . import __version__
 from .criteria import best_upper_bound
 from .ideal_io import pair_to_dict, partition_to_dict
-from .koszul import FieldSpec, depth_profile
+from .koszul import FieldSpec
 from .lab import (
+    STATEMENTS,
+    Analysis,
     HypothesisMismatch,
     NotApplicable,
     classify_lcm_configuration,
-    step_shape,
 )
 from .monomial import IdealPair, build_poset
-from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted, sdepth_decision, sdepth_exact
+from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted, sdepth_decision
 
 SCHEMA_NAME = "sqdepth-report/1"
 
@@ -32,127 +33,101 @@ def _error_slot(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def build_analysis_report(
-    pair: IdealPair,
-    chars: tuple[int, ...] = (0, 2, 3),
-    budget: int | None = DEFAULT_NODE_BUDGET,
-    paranoid: bool = False,
-    timing: bool = False,
-) -> dict:
-    """Run every engine on the pair and assemble the JSON analysis document."""
-    t0 = time.monotonic()
-    report: dict = {
-        "schema": SCHEMA_NAME,
-        "kind": "analysis",
-        "instance": {**pair_to_dict(pair), "d": pair.d},
+# ---------------------------------------------------------------------------
+# section serializers: one per report section, shared by every report kind
+
+
+def _head(kind: str, pair: IdealPair) -> dict:
+    return {"schema": SCHEMA_NAME, "kind": kind, "instance": {**pair_to_dict(pair), "d": pair.d}}
+
+
+def _poset_section(layers) -> dict:
+    return {"rho": list(layers.rho), "r": layers.r, "s": layers.s, "q": layers.q}
+
+
+def _sdepth_section(analysis: Analysis) -> dict:
+    """The exact value with its certificate, or the bracket of an exhausted budget."""
+    try:
+        res = analysis.sdepth
+    except BudgetExhausted as exc:
+        return _budget_slot(exc)
+    cert = partition_to_dict(res.certificate)
+    return {"value": res.value, "nodes": res.nodes, "certificate": cert}
+
+
+def _budget_slot(exc: BudgetExhausted) -> dict:
+    bracket = {"lower_bound": exc.lower_bound, "upper_bound": exc.upper_bound, "nodes": exc.nodes}
+    return {**_error_slot(exc), **bracket}
+
+
+def _depth_section(analysis: Analysis) -> dict:
+    return {
+        str(c): {
+            "depth": r.depth,
+            "proj_dim": r.proj_dim,
+            "witness": {"sigma": list(r.witness_sigma.variables), "index": r.witness_index},
+        }
+        for c, r in analysis.profile.items()
     }
 
-    layers = build_poset(pair)
-    report["poset"] = {"rho": list(layers.rho), "r": layers.r, "s": layers.s, "q": layers.q}
 
-    sdepth_value = None
-    try:
-        res = sdepth_exact(pair, budget=budget)
-        sdepth_value = res.value
-        assert res.value >= pair.d
-        report["sdepth"] = {
-            "value": res.value,
-            "nodes": res.nodes,
-            "certificate": partition_to_dict(res.certificate),
-        }
-    except BudgetExhausted as exc:
-        report["sdepth"] = {
-            **_error_slot(exc),
-            "lower_bound": exc.lower_bound,
-            "upper_bound": exc.upper_bound,
-            "nodes": exc.nodes,
-        }
-
-    depths = None
-    try:
-        fields = tuple(FieldSpec(c) for c in chars)
-        profile = depth_profile(pair, fields=fields, paranoid=paranoid)
-        depths = {c: r.depth for c, r in profile.items()}
-        assert all(r.depth >= pair.d for r in profile.values())
-        report["depth"] = {
-            str(c): {
-                "depth": r.depth,
-                "proj_dim": r.proj_dim,
-                "witness": {"sigma": list(r.witness_sigma.variables), "index": r.witness_index},
-            }
-            for c, r in profile.items()
-        }
-    except Exception as exc:  # pragma: no cover - engine errors are reported, not raised
-        report["depth"] = _error_slot(exc)
-
+def _criteria_section(layers) -> dict:
     bound, verdicts = best_upper_bound(layers)
-    report["criteria"] = {
+    return {
         "bound": bound,
         "verdicts": [
-            {
-                "kind": v.kind,
-                "t": v.t,
-                "k": v.k,
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-                "fired": v.fired,
-            }
+            {"kind": v.kind, "t": v.t, "k": v.k, "lhs": v.lhs, "rhs": v.rhs, "fired": v.fired}
             for v in verdicts
         ],
     }
 
+
+def _lcm_section(pair: IdealPair) -> dict:
     try:
         conf = classify_lcm_configuration(pair)
-        report["lcm_configuration"] = {
-            "label": conf.label,
-            "s": conf.s,
-            "q": conf.q,
-            "q_pair": {f"{i},{j}": v for (i, j), v in sorted(conf.q_pair.items())},
-            "checks": [
-                {
-                    "description": c.description,
-                    "observed": c.observed,
-                    "required": c.required,
-                    "holds": c.holds,
-                }
-                for c in conf.checks
-            ],
-        }
     except NotApplicable as exc:
-        report["lcm_configuration"] = _error_slot(exc)
+        return _error_slot(exc)
+    return {
+        "label": conf.label,
+        "s": conf.s,
+        "q": conf.q,
+        "q_pair": {f"{i},{j}": v for (i, j), v in sorted(conf.q_pair.items())},
+        "checks": [
+            {
+                "description": c.description,
+                "observed": c.observed,
+                "required": c.required,
+                "holds": c.holds,
+            }
+            for c in conf.checks
+        ],
+    }
 
-    report["theorems"] = _theorem_slots(pair, sdepth_value, depths)
-    report["meta"] = _meta(timing, t0, chars=list(chars), budget=budget)
-    return report
+
+_SKIP_REASONS = {"floor": "sdepth above the floor", "step": "sdepth not d+1"}
 
 
-def _theorem_slots(pair: IdealPair, sdepth_value, depths) -> dict:
-    """Floor/step verdicts reusing already-computed sdepth and depths."""
+def _theorem_slots(analysis: Analysis, report: dict) -> dict:
+    """Floor/step verdicts read off the results the other sections already hold."""
+    if "error" in report["sdepth"] or "error" in report["depth"]:
+        return {
+            name: {"status": "skip", "reason": "engine result unavailable"}
+            for name in _SKIP_REASONS
+        }
     out: dict = {}
-    if sdepth_value is None or depths is None:
-        reason = "engine result unavailable"
-        out["floor"] = {"status": "skip", "reason": reason}
-        out["step"] = {"status": "skip", "reason": reason}
-        return out
-    if sdepth_value > pair.d:
-        out["floor"] = {"status": "skip", "reason": "sdepth above the floor"}
-    else:
-        bad = {c: v for c, v in depths.items() if v != pair.d}
-        out["floor"] = {"status": "fail" if bad else "pass"}
-    try:
-        shape = step_shape(pair)
-        if sdepth_value != pair.d + 1:
-            out["step"] = {"status": "skip", "reason": "sdepth not d+1", "shape": shape}
-        else:
-            bad = {c: v for c, v in depths.items() if v > pair.d + 1}
-            out["step"] = {"status": "fail" if bad else "pass", "shape": shape}
-    except HypothesisMismatch as exc:
-        out["step"] = {"status": "skip", "reason": f"shape mismatch: {exc}"}
+    for name, reason in _SKIP_REASONS.items():
+        try:
+            result = STATEMENTS[name](analysis)
+        except HypothesisMismatch as exc:
+            out[name] = {"status": "skip", "reason": f"shape mismatch: {exc}"}
+            continue
+        slot = {"status": result.status}
+        if result.status == "skip":
+            slot["reason"] = reason
+        if "shape" in result.details:
+            slot["shape"] = result.details["shape"]
+        out[name] = slot
     return out
-
-
-def wrap_hunt_report(hunt: dict) -> dict:
-    return {"schema": SCHEMA_NAME, "kind": "hunt", **hunt, "version": __version__}
 
 
 def _meta(timing: bool, t0: float, **extra) -> dict:
@@ -163,6 +138,42 @@ def _meta(timing: bool, t0: float, **extra) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# reports
+
+
+def build_analysis_report(
+    pair: IdealPair,
+    chars: tuple[int, ...] = (0, 2, 3),
+    budget: int | None = DEFAULT_NODE_BUDGET,
+    paranoid: bool = False,
+    timing: bool = False,
+) -> dict:
+    """Run every engine on the pair once and assemble the JSON analysis document.
+
+    A failing depth computation becomes the depth section's error slot.
+    """
+    t0 = time.monotonic()
+    analysis = Analysis(pair, tuple(FieldSpec(c) for c in chars), budget, paranoid)
+    report = _head("analysis", pair)
+    layers = build_poset(pair)
+    report["poset"] = _poset_section(layers)
+    report["sdepth"] = _sdepth_section(analysis)
+    try:
+        report["depth"] = _depth_section(analysis)
+    except Exception as exc:  # pragma: no cover - engine errors are reported, not raised
+        report["depth"] = _error_slot(exc)
+    report["criteria"] = _criteria_section(layers)
+    report["lcm_configuration"] = _lcm_section(pair)
+    report["theorems"] = _theorem_slots(analysis, report)
+    report["meta"] = _meta(timing, t0, chars=list(chars), budget=budget)
+    return report
+
+
+def wrap_hunt_report(hunt: dict) -> dict:
+    return {"schema": SCHEMA_NAME, "kind": "hunt", **hunt, "version": __version__}
+
+
 def build_sdepth_report(
     pair: IdealPair,
     target: int | None = None,
@@ -171,33 +182,20 @@ def build_sdepth_report(
 ) -> dict:
     """Exact sdepth with certificate, or a single target decision."""
     t0 = time.monotonic()
-    report: dict = {
-        "schema": SCHEMA_NAME,
-        "kind": "sdepth",
-        "instance": {**pair_to_dict(pair), "d": pair.d},
-    }
-    try:
-        if target is None:
-            res = sdepth_exact(pair, budget=budget)
-            report["sdepth"] = {
-                "value": res.value,
-                "nodes": res.nodes,
-                "certificate": partition_to_dict(res.certificate),
-            }
-        else:
+    report = _head("sdepth", pair)
+    if target is None:
+        report["sdepth"] = _sdepth_section(Analysis(pair, budget=budget))
+    else:
+        try:
             part = sdepth_decision(pair, target, budget=budget)
+        except BudgetExhausted as exc:
+            report["sdepth"] = _budget_slot(exc)
+        else:
             report["sdepth"] = {
                 "target": target,
                 "satisfiable": part is not None,
                 "certificate": partition_to_dict(part) if part is not None else None,
             }
-    except BudgetExhausted as exc:
-        report["sdepth"] = {
-            **_error_slot(exc),
-            "lower_bound": exc.lower_bound,
-            "upper_bound": exc.upper_bound,
-            "nodes": exc.nodes,
-        }
     report["meta"] = _meta(timing, t0, budget=budget)
     return report
 
@@ -209,20 +207,10 @@ def build_depth_report(
     timing: bool = False,
 ) -> dict:
     t0 = time.monotonic()
-    fields = tuple(FieldSpec(c) for c in chars)
-    profile = depth_profile(pair, fields=fields, paranoid=paranoid)
+    analysis = Analysis(pair, tuple(FieldSpec(c) for c in chars), paranoid=paranoid)
     return {
-        "schema": SCHEMA_NAME,
-        "kind": "depth",
-        "instance": {**pair_to_dict(pair), "d": pair.d},
-        "depth": {
-            str(c): {
-                "depth": r.depth,
-                "proj_dim": r.proj_dim,
-                "witness": {"sigma": list(r.witness_sigma.variables), "index": r.witness_index},
-            }
-            for c, r in profile.items()
-        },
+        **_head("depth", pair),
+        "depth": _depth_section(analysis),
         "meta": _meta(timing, t0, chars=list(chars)),
     }
 
@@ -230,19 +218,10 @@ def build_depth_report(
 def build_criteria_report(pair: IdealPair, timing: bool = False) -> dict:
     t0 = time.monotonic()
     layers = build_poset(pair)
-    bound, verdicts = best_upper_bound(layers)
     return {
-        "schema": SCHEMA_NAME,
-        "kind": "criteria",
-        "instance": {**pair_to_dict(pair), "d": pair.d},
-        "poset": {"rho": list(layers.rho), "r": layers.r, "s": layers.s, "q": layers.q},
-        "criteria": {
-            "bound": bound,
-            "verdicts": [
-                {"kind": v.kind, "t": v.t, "k": v.k, "lhs": v.lhs, "rhs": v.rhs, "fired": v.fired}
-                for v in verdicts
-            ],
-        },
+        **_head("criteria", pair),
+        "poset": _poset_section(layers),
+        "criteria": _criteria_section(layers),
         "meta": _meta(timing, t0),
     }
 

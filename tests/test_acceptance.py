@@ -21,16 +21,16 @@ import sqdepth
 from sqdepth.criteria import all_verdicts, alternating_criterion, binomial_criterion
 from sqdepth.koszul import depth_profile
 from sqdepth.lab import (
+    Analysis,
     InstanceFamily,
-    check_depth_floor,
-    check_depth_step,
     classify_lcm_configuration,
     configuration_instances,
     enumerate_all_pairs,
+    floor_statement,
     h_map_via_solver,
     hunt_counterexamples,
     split_modules,
-    step_shape,
+    step_statement,
     HypothesisMismatch,
 )
 from sqdepth.monomial import IdealPair, ValidationError, build_poset
@@ -95,16 +95,16 @@ def floor_step_sweep():
     )
     for inst in stream:
         total += 1
-        res = check_depth_floor(inst)
+        analysis = Analysis(inst)
+        res = floor_statement(analysis)
         floor_counts[res.status] += 1
         if res.status == "fail":
             failures.append(("floor", inst, res.details))
         try:
-            step_shape(inst)
+            res = step_statement(analysis)
         except HypothesisMismatch:
             step_counts["mismatch"] += 1
             continue
-        res = check_depth_step(inst)
         step_counts[res.status] += 1
         if res.status == "fail":
             failures.append(("step", inst, res.details))

@@ -1,7 +1,13 @@
 """Layer-count depth criteria: alternating and binomial inequality tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sqdepth
 from sqdepth.criteria import (
     CriterionVerdict,
     OutOfRange,
@@ -68,6 +74,26 @@ def test_criterion_ranges():
 def test_verdict_consistency_enforced():
     with pytest.raises(AssertionError):
         CriterionVerdict("alternating", 1, None, 3, 5, False)
+
+
+def test_verdict_consistency_enforced_under_optimize():
+    # python -O strips assert statements; the invariant must survive it.
+    package_root = str(Path(sqdepth.__file__).resolve().parents[1])
+    code = (
+        "from sqdepth.criteria import CriterionVerdict\n"
+        "try:\n"
+        "    CriterionVerdict('alternating', 1, None, 3, 5, False)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_three_generator_verdict_table():

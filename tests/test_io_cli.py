@@ -336,10 +336,6 @@ def test_cli_depth_char_selection():
     assert sorted(doc["depth"]) == ["0", "5"]
     validate(doc)
 
-    code, out, _ = run_cli(["depth", M3_FILE, "--char", "2", "--profile", "--json"])
-    assert code == 0
-    assert sorted(json.loads(out)["depth"]) == ["0", "2", "3"]
-
 
 def test_cli_depth_rejects_composite_characteristic():
     code, _, err = run_cli(["depth", M3_FILE, "--chars", "0,4"])
@@ -369,6 +365,18 @@ def test_cli_budget_exhaustion_exit(tmp_path):
     validate(json.loads(out))
     code, _, _ = run_cli(["analyze", str(f), "--budget", "1"])
     assert code == 3
+
+
+def test_cli_family_checks_honour_budget():
+    code, out, err = run_cli(["verify", "floor", "--n", "4", "--k", "4", "--budget", "1"])
+    assert code == 3
+    assert out == ""
+    assert "node budget exhausted" in err
+    code, _, _ = run_cli(["hunt", "--n", "4", "--k", "4", "--budget", "1"])
+    assert code == 3
+    code, out, _ = run_cli(["verify", "floor", "--n", "4", "--k", "4"])
+    assert code == 0
+    assert "fail = 0" in out
 
 
 def test_cli_analyze():
@@ -417,7 +425,6 @@ def test_cli_timing_flag():
 
 def test_cli_input_errors():
     assert run_cli(["sdepth", "/nonexistent/file.ideal"])[0] == 2
-    assert run_cli(["--threads", "0", "sdepth", M3_FILE])[0] == 2
 
 
 def test_cli_warns_on_redundant_input(tmp_path):

@@ -1,10 +1,12 @@
 """Instance generation, theorem checks, lcm configurations, h-maps, splits."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import sqdepth
+from sqdepth import lab
 from sqdepth.ideal_io import load_ideal
 from sqdepth.koszul import depth
 from sqdepth.lab import (
@@ -37,6 +39,7 @@ from sqdepth.lab import (
 )
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset
 from sqdepth.partition import Interval, IntervalPartition, sdepth_exact
+from sqdepth.report import build_analysis_report
 
 CORPUS = Path(sqdepth.__file__).parent / "corpus"
 
@@ -455,6 +458,56 @@ def test_hunt_limit_and_timing():
 def test_hunt_deterministic():
     fam = InstanceFamily(3, 1, 2, j_policy="exhaustive")
     assert hunt_counterexamples(fam, "floor") == hunt_counterexamples(fam, "floor")
+
+
+# ---------------------------------------------------------------------------
+# each engine runs once per instance
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    calls = {"sdepth": 0, "depth": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lab, "sdepth_exact", counted("sdepth", lab.sdepth_exact))
+    monkeypatch.setattr(lab, "depth_profile", counted("depth", lab.depth_profile))
+    return calls
+
+
+def test_analysis_report_runs_each_engine_once(engine_calls):
+    build_analysis_report(M3)
+    assert engine_calls == {"sdepth": 1, "depth": 1}
+
+
+def test_exhausted_budget_is_searched_once(engine_calls):
+    doc = build_analysis_report(pair(4, [[1], [2], [3], [4]]), budget=1)
+    assert "error" in doc["sdepth"]
+    assert engine_calls["sdepth"] == 1
+    assert doc["theorems"]["floor"]["status"] == "skip"
+    assert doc["theorems"]["step"]["status"] == "skip"
+
+
+def test_failure_record_reuses_the_search(engine_calls, monkeypatch):
+    real_profile = lab.depth_profile
+
+    def raised_depths(*args, **kwargs):
+        return {c: replace(r, depth=r.depth + 1) for c, r in real_profile(*args, **kwargs).items()}
+
+    monkeypatch.setattr(lab, "depth_profile", raised_depths)
+    fam = InstanceFamily(2, 1, 2, j_policy="exhaustive")
+    report = hunt_counterexamples(fam, "floor")
+    emitted = sum(report["counts"].values())
+    assert report["counts"]["fail"] == emitted == 2
+    assert engine_calls["sdepth"] == emitted
+    for rec, inst in zip(report["failures"], enumerate_instances(fam)):
+        cert = sdepth_exact(inst).certificate
+        assert rec["details"]["certificate"] == [[str(iv.lo), str(iv.hi)] for iv in cert.intervals]
 
 
 # ---------------------------------------------------------------------------
