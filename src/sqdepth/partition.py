@@ -17,10 +17,13 @@ be canonically earlier and still uncovered. Branching happens only there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import lru_cache
 
+from .criteria import best_upper_bound
 from .matching import hall_violator, hopcroft_karp
-from .monomial import IdealPair, Monomial, PosetLayers, build_poset, mask_key
+from .monomial import IdealPair, InvariantError, Monomial, build_poset, mask_key
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -136,27 +139,50 @@ def verify_partition(pair: IdealPair, part: IntervalPartition) -> bool:
     return not partition_violations(pair, part)
 
 
+@dataclass(frozen=True)
+class _Hasse:
+    """The poset's element masks in canonical order, with their upper covers.
+
+    Layer k is the index range ``start[k]:start[k + 1]`` for k in 0..n+1
+    (layer n+1 is empty). ``up[i]`` lists the offsets, within the next
+    layer, of the elements one variable above element i, by increasing
+    variable.
+    """
+
+    elems: tuple[int, ...]
+    index: dict[int, int]
+    start: tuple[int, ...]
+    up: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=32)
+def _hasse(pair: IdealPair) -> _Hasse:
+    layers = build_poset(pair)
+    elems = layers.element_masks()
+    index = {m: i for i, m in enumerate(elems)}
+    start = tuple(itertools.accumulate((*layers.rho, 0), initial=0))
+    up = []
+    for m in elems:
+        base = start[m.bit_count() + 1]
+        up.append(tuple(
+            index[m | 1 << v] - base
+            for v in range(pair.n)
+            if not m >> v & 1 and (m | 1 << v) in index
+        ))
+    return _Hasse(elems, index, start, tuple(up))
+
+
 class _DecisionSearch:
     """One sdepth >= target decision over a fixed poset."""
 
-    def __init__(self, layers: PosetLayers, target: int):
-        self.n = layers.pair.n
+    def __init__(self, hasse: _Hasse, n: int, target: int):
+        self.n = n
         self.target = target
-        elems = layers.element_masks()
-        self.elems = elems
-        self.index = {m: i for i, m in enumerate(elems)}
-        self.degree = [m.bit_count() for m in elems]
+        self.hasse = hasse
+        self.elems = hasse.elems
+        self.index = hasse.index
         # canonical order is degree-major, so the low elements form a prefix
-        self.n_low = sum(1 for deg in self.degree if deg < target)
-        self.layer_range: dict[int, tuple[int, int]] = {}
-        lo = 0
-        for deg in range(self.n + 1):
-            hi = lo
-            while hi < len(elems) and self.degree[hi] == deg:
-                hi += 1
-            self.layer_range[deg] = (lo, hi)
-            lo = hi
-        self.poset_set = set(elems)
+        self.n_low = hasse.start[target]
         self.candidates = [self._tops_for(i) for i in range(self.n_low)]
         self.dead: set[int] = set()
         self.nodes = 0
@@ -165,14 +191,14 @@ class _DecisionSearch:
     def _tops_for(self, i: int) -> list[tuple[int, int]]:
         """(top mask, member index bitset) for each degree-target top over element i."""
         w = self.elems[i]
-        need = self.target - self.degree[i]
+        need = self.target - w.bit_count()
         free = [v for v in range(self.n) if not w >> v & 1]
         tops = []
         for combo in itertools.combinations(free, need):
             v = w
             for bit in combo:
                 v |= 1 << bit
-            if v in self.poset_set:
+            if v in self.index:
                 tops.append(v)
         tops.sort(key=mask_key)
         out = []
@@ -192,60 +218,61 @@ class _DecisionSearch:
         """Prune: uncovered elements in the lowest active layer are all
         poset-minimal among uncovered, so each heads its own interval and
         needs a private uncovered multiple one degree up."""
-        j0 = self.degree[scan_from]
-        lo, hi = self.layer_range[j0]
-        left = [i for i in range(max(lo, scan_from), hi) if not covered >> i & 1]
-        if not left:
-            return False
-        lo1, hi1 = self.layer_range[j0 + 1]
-        right = [i for i in range(lo1, hi1) if not covered >> i & 1]
-        if len(right) < len(left):
+        start = self.hasse.start
+        j0 = self.elems[scan_from].bit_count()
+        lo, mid, hi = start[j0], start[j0 + 1], start[j0 + 2]
+        # uncovered bits of layers j0 and j0 + 1, from index lo on
+        free = ~(covered >> lo) & ((1 << (hi - lo)) - 1)
+        left = [i for i in range(scan_from - lo, mid - lo) if free >> i & 1]
+        free_up = free >> (mid - lo)
+        if free_up.bit_count() < len(left):
             return True
-        pos = {idx: p for p, idx in enumerate(right)}
-        adjacency = []
-        for i in left:
-            w = self.elems[i]
-            nbrs = []
-            for v in range(self.n):
-                if w >> v & 1:
-                    continue
-                j = self.index.get(w | 1 << v)
-                if j is not None and j in pos:
-                    nbrs.append(pos[j])
-            adjacency.append(nbrs)
-        return len(hopcroft_karp(adjacency, len(right))) < len(left)
+        up = self.hasse.up
+        adjacency = [[p for p in up[lo + i] if free_up >> p & 1] for i in left]
+        return len(hopcroft_karp(adjacency, hi - mid)) < len(left)
 
     def run(self, budget: int | None) -> bool | None:
-        """True = satisfiable, False = not, None = budget ran out."""
-        result = self._search(0, 0, budget)
-        return result
+        """True = satisfiable, False = not, None = budget ran out.
 
-    def _search(self, covered: int, scan_from: int, budget: int | None) -> bool | None:
-        self.nodes += 1
-        if budget is not None and self.nodes > budget:
-            return None
-        i = scan_from
-        while i < self.n_low and covered >> i & 1:
-            i += 1
-        if i >= self.n_low:
-            return True
-        if covered in self.dead:
-            return False
-        if self._matching_dead(covered, i):
-            self.dead.add(covered)
-            return False
-        for top, bits in self.candidates[i]:
-            if bits & covered:
-                continue
-            self.committed.append((self.elems[i], top))
-            sub = self._search(covered | bits, i + 1, budget)
-            if sub:
-                return True
-            self.committed.pop()
-            if sub is None:
+        Depth-first over an explicit stack, so the search depth (one level
+        per committed interval) is not bounded by the recursion limit. Each
+        open node on ``stack`` keeps its covered set, its branching element
+        and an iterator over that element's untried tops; ``committed``
+        holds the interval chosen at every open node but the deepest.
+        """
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        covered, scan_from = 0, 0
+        while True:
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
                 return None
-        self.dead.add(covered)
-        return False
+            i = scan_from
+            while i < self.n_low and covered >> i & 1:
+                i += 1
+            if i >= self.n_low:
+                return True
+            if covered not in self.dead:
+                if self._matching_dead(covered, i):
+                    self.dead.add(covered)
+                else:
+                    stack.append((covered, i, iter(self.candidates[i])))
+            # descend into the next fitting top of the deepest open node,
+            # closing (and memoising) every node whose tops are used up
+            while stack:
+                del self.committed[len(stack) - 1:]
+                covered, i, tops = stack[-1]
+                for top, bits in tops:
+                    if not bits & covered:
+                        break
+                else:
+                    stack.pop()
+                    self.dead.add(covered)
+                    continue
+                self.committed.append((self.elems[i], top))
+                covered, scan_from = covered | bits, i + 1
+                break
+            else:
+                return False
 
     def partition(self) -> IntervalPartition:
         n = self.n
@@ -272,10 +299,9 @@ def sdepth_decision(
     pair: IdealPair, target: int, budget: int | None = DEFAULT_NODE_BUDGET
 ) -> IntervalPartition | None:
     """A partition with all tops of degree >= target, or None if none exists."""
-    layers = build_poset(pair)
     if not pair.d <= target <= pair.n:
         raise InvalidTarget(f"target {target} outside {pair.d}..{pair.n}")
-    search = _DecisionSearch(layers, target)
+    search = _DecisionSearch(_hasse(pair), pair.n, target)
     outcome = search.run(budget)
     if outcome is None:
         raise BudgetExhausted(search.nodes)
@@ -292,25 +318,15 @@ def matching_upper_bound(pair: IdealPair) -> int:
     elements of degree j+1. The bound is the first j where that matching
     cannot saturate, or n if none fails.
     """
-    layers = build_poset(pair)
-    minimal = [g for g in pair.gens_i if pair.contains(g)]
-    by_degree: dict[int, list[Monomial]] = {}
-    for g in minimal:
-        by_degree.setdefault(g.degree, []).append(g)
+    hasse = _hasse(pair)
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    for g in pair.gens_i:
+        if pair.contains(g):
+            by_degree.setdefault(g.degree, []).append(hasse.up[hasse.index[g.mask]])
     for j in sorted(by_degree):
-        ups = layers.layer(j + 1)
-        pos = {m.mask: p for p, m in enumerate(ups)}
-        adjacency = []
-        for g in by_degree[j]:
-            nbrs = []
-            for v in range(pair.n):
-                if g.mask >> v & 1:
-                    continue
-                p = pos.get(g.mask | 1 << v)
-                if p is not None:
-                    nbrs.append(p)
-            adjacency.append(nbrs)
-        if len(hopcroft_karp(adjacency, len(ups))) < len(adjacency):
+        adjacency = by_degree[j]
+        n_up = hasse.start[j + 2] - hasse.start[j + 1]
+        if len(hopcroft_karp(adjacency, n_up)) < len(adjacency):
             return j
     return pair.n
 
@@ -318,24 +334,46 @@ def matching_upper_bound(pair: IdealPair) -> int:
 def sdepth_exact(pair: IdealPair, budget: int | None = DEFAULT_NODE_BUDGET) -> SdepthResult:
     """Exact Stanley depth with a certifying partition.
 
-    Tries targets from the matching upper bound downward; the first
-    satisfiable one is the answer (the decision is monotone in the target).
-    The budget is shared across all targets; on exhaustion the raised
-    BudgetExhausted carries the bracketing bounds.
+    Tries targets from an upper bound downward; the first satisfiable one
+    is the answer (the decision is monotone in the target). The budget is
+    shared across all targets; on exhaustion the raised BudgetExhausted
+    carries the bracketing bounds.
+
+    The search starts at the smaller of two upper bounds: the
+    ``matching_upper_bound`` and the layer-count bound of
+    ``criteria.best_upper_bound`` (n when no test fires). Neither dominates
+    the other, so both are kept. The layer-count bound holds for sdepth:
+    fix a target T and a partition in the normal form above, and let a_k be
+    the number of intervals headed in degree k < T. Each such interval ends
+    in degree T and holds C(T-j, k-j) elements of degree k when headed in
+    degree j <= k, so rho_k = sum_{j<=k} C(T-j, k-j) a_j for k < T;
+    inverting this unitriangular system gives
+
+        a_k = sum_j (-1)^(k-j) C(T-j, k-j) rho_j.
+
+    Each of these intervals also holds exactly one element of degree T, its
+    top, so sum_{k<T} a_k <= rho_T. The binomial test at (T-1, k) fires
+    exactly when the a_k above is negative, and the alternating test at
+    T-1 (the binomial test at k = T) fires exactly when sum_{k<T} a_k,
+    which equals alpha_{T-1}, exceeds rho_T. Either way no partition
+    reaches target T, so a test fired at level t refutes target t+1 and,
+    by monotonicity, every target above it: sdepth <= t.
     """
     layers = build_poset(pair)
-    upper = matching_upper_bound(pair)
+    hasse = _hasse(pair)
+    counted, _ = best_upper_bound(layers)
+    upper = min(matching_upper_bound(pair), pair.n if counted is None else counted)
     nodes_total = 0
     for t in range(upper, pair.d - 1, -1):
         remaining = None if budget is None else budget - nodes_total
-        search = _DecisionSearch(layers, t)
+        search = _DecisionSearch(hasse, pair.n, t)
         outcome = search.run(remaining)
         nodes_total += search.nodes
         if outcome is None:
             raise BudgetExhausted(nodes_total, lower_bound=pair.d, upper_bound=t)
         if outcome:
             return SdepthResult(value=t, certificate=search.partition(), nodes=nodes_total)
-    raise AssertionError("unreachable: target d is always satisfiable")
+    raise InvariantError("unreachable: target d is always satisfiable")
 
 
 def hall_necessary_check(pair: IdealPair) -> HallCheck:
@@ -347,19 +385,10 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
     more degree-d elements than the union of their B-multiples can absorb.
     """
     layers = build_poset(pair)
+    hasse = _hasse(pair)
     left = layers.layer(pair.d)
     right = layers.b_layer
-    pos = {m.mask: p for p, m in enumerate(right)}
-    adjacency = []
-    for g in left:
-        nbrs = []
-        for v in range(pair.n):
-            if g.mask >> v & 1:
-                continue
-            p = pos.get(g.mask | 1 << v)
-            if p is not None:
-                nbrs.append(p)
-        adjacency.append(nbrs)
+    adjacency = list(hasse.up[hasse.start[pair.d]:hasse.start[pair.d + 1]])
     matching = hopcroft_karp(adjacency, len(right))
     if len(matching) == len(left):
         pairs = tuple((left[u], right[v]) for u, v in sorted(matching.items()))

@@ -206,7 +206,7 @@ def test_sdepth_report_budget_error_form():
     doc = build_sdepth_report(pair(4, [[1], [2], [3], [4]]), budget=1)
     assert "error" in doc["sdepth"]
     assert doc["sdepth"]["lower_bound"] == 1
-    assert doc["sdepth"]["upper_bound"] == 4
+    assert doc["sdepth"]["upper_bound"] == 2
     validate(doc)
 
 
@@ -267,7 +267,7 @@ def test_render_text_is_pure():
     doc = build_sdepth_report(M3)
     assert render_sdepth_text(doc) == render_sdepth_text(doc)
     text = render_sdepth_text(doc)
-    assert "sdepth     2  (6 nodes)" in text
+    assert "sdepth     2  (4 nodes)" in text
     assert "[x1, x1*x2]" in text
     assert render_sdepth_text(doc, certificate=False).count("[x1, x1*x2]") == 0
 
@@ -296,7 +296,7 @@ def test_render_analysis_sections():
 def test_cli_sdepth_text():
     code, out, err = run_cli(["sdepth", M3_FILE])
     assert code == 0
-    assert "sdepth     2  (6 nodes)" in out
+    assert "sdepth     2  (4 nodes)" in out
     assert err == ""
 
 
@@ -359,7 +359,7 @@ def test_cli_budget_exhaustion_exit(tmp_path):
     code, out, _ = run_cli(["sdepth", str(f), "--budget", "1"])
     assert code == 3
     assert "node budget exhausted" in out
-    assert "bounds: [1, 4]" in out
+    assert "bounds: [1, 2]" in out
     code, out, _ = run_cli(["sdepth", str(f), "--budget", "1", "--json"])
     assert code == 3
     validate(json.loads(out))

@@ -1,7 +1,12 @@
 """Interval partition solver: exact values, certificates, Hall check, normalization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sqdepth
 from sqdepth.monomial import IdealPair, Monomial
 from sqdepth.partition import (
     DEFAULT_NODE_BUDGET,
@@ -117,8 +122,8 @@ def test_budget_exhaustion_carries_bounds():
     exc = info.value
     assert exc.nodes >= 1
     assert exc.lower_bound == 1
-    assert exc.upper_bound == 4
-    assert "1 <= sdepth <= 4" in str(exc)
+    assert exc.upper_bound == 2
+    assert "1 <= sdepth <= 2" in str(exc)
 
 
 def test_budget_exhaustion_decision():
@@ -130,6 +135,40 @@ def test_budget_exhaustion_decision():
 
 def test_unlimited_budget():
     assert sdepth_exact(MAXIMAL[4], budget=None).value == 2
+
+
+def test_maximal_ideals_start_at_the_layer_count_bound():
+    # sdepth(m_n) = ceil(n/2) (Biro-Howard-Keller-Trotter-Young 2010), the
+    # layer-count bound; a search from the matching bound n refutes every
+    # target above it first (about 532k nodes for m_8)
+    assert sdepth_exact(pair(8, [[v] for v in range(1, 9)]), budget=100).value == 4
+    for n, expected in ((10, 5), (11, 6)):
+        p = pair(n, [[v] for v in range(1, n + 1)])
+        res = sdepth_exact(p)
+        assert res.value == expected
+        assert verify_partition(p, res.certificate)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the m_11 search commits about 250 intervals along one branch
+    code = (
+        "import sys\n"
+        "from sqdepth.monomial import IdealPair\n"
+        "from sqdepth.partition import sdepth_exact\n"
+        "sys.setrecursionlimit(100)\n"
+        "pair = IdealPair.from_masks(11, [1 << v for v in range(11)], [])\n"
+        "print(sdepth_exact(pair).value)\n"
+    )
+    package_root = str(Path(sqdepth.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "6"
 
 
 # ---------------------------------------------------------------------------
