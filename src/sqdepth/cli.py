@@ -114,7 +114,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--symmetry", action="store_true",
-        help="keep only permutation-canonical instances in exhaustive streams",
+        help="keep only permutation-canonical instances; exhaustive families only, not --samples",
     )
 
 

@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ideal_io import pair_to_dict
 from .koszul import DepthResult, FieldSpec, depth_profile
@@ -155,6 +155,8 @@ class InstanceFamily:
             raise EmptyFamily(f"k={self.k} exceeds the number of degree-{self.d} monomials")
         if self.j_policy not in ("zero", "exhaustive", "random"):
             raise EmptyFamily(f"unknown J policy {self.j_policy!r}")
+        if self.symmetry_reduction and self.j_policy == "random":
+            raise EmptyFamily("symmetry reduction needs an enumerated family (--exhaustive)")
 
 
 def degree_masks(n: int, deg: int) -> list[int]:
@@ -185,15 +187,15 @@ def _antichains(elements: list[int]):
     yield from dfs(0, [])
 
 
-def _poset_above(pair: IdealPair) -> list[int]:
-    """Masks of I \\ {degree <= d} usable as J generators, canonical order."""
-    out = [
+def _poset_above(n: int, gens) -> list[int]:
+    """Masks of I = (gens) above its least generator degree, canonical order."""
+    d = min(g.bit_count() for g in gens)
+    return [
         m
-        for deg in range(pair.d + 1, pair.n + 1)
-        for m in degree_masks(pair.n, deg)
-        if masks_contain(pair.i_masks, m)
+        for deg in range(d + 1, n + 1)
+        for m in degree_masks(n, deg)
+        if masks_contain(gens, m)
     ]
-    return out
 
 
 def _i_candidates(fam: InstanceFamily):
@@ -210,6 +212,35 @@ def _i_candidates(fam: InstanceFamily):
             yield combo
 
 
+def _pairs(n: int, i_choices, j_choices, symmetry: bool):
+    """The pairs I = (gens), J = (js) for gens in ``i_choices``, js in ``j_choices(gens)``.
+
+    With ``symmetry`` only canonical representatives are emitted: a pair is
+    kept exactly when its (sorted I, sorted J) key is minimal over all
+    variable permutations.  The I-part is screened first, because only an
+    I-minimal pair can be pair-minimal; the J-part is then compared only
+    under the permutations that achieve the minimal I-key.  The keys are
+    those of ``canonical_key``, so the kept pairs are exactly the ones
+    ``is_canonical`` accepts.
+    """
+    tables = _perm_tables(n) if symmetry else None
+    ranks = _mask_ranks(n) if symmetry else None
+    for gens in i_choices:
+        gens = tuple(gens)
+        if symmetry:
+            keys = [(_rank_key(gens, t, ranks), t) for t in tables]
+            best = min(k for k, _ in keys)
+            if keys[0][0] != best:
+                continue
+            achievers = [t for k, t in keys if k == best]
+        for js in j_choices(gens):
+            if symmetry:
+                own = _rank_key(js, tables[0], ranks)
+                if any(_rank_key(js, t, ranks) < own for t in achievers):
+                    continue
+            yield IdealPair.from_masks(n, gens, tuple(js))
+
+
 def enumerate_instances(fam: InstanceFamily):
     """Stream distinct valid pairs matching the family, deterministically.
 
@@ -220,25 +251,14 @@ def enumerate_instances(fam: InstanceFamily):
     if fam.j_policy == "random":
         raise EmptyFamily("random J policy requires sample_instances with a seed")
 
-    def stream():
-        for gens in _i_candidates(fam):
-            if fam.j_policy == "zero":
-                j_choices = [[]]
-            else:
-                base = IdealPair.from_masks(fam.n, gens, ())
-                elements = _poset_above(base)
-                j_choices = (
-                    js
-                    for js in _antichains(elements)
-                    if not any(masks_contain(js, g) for g in gens)
-                )
-            for js in j_choices:
-                pair = IdealPair.from_masks(fam.n, gens, tuple(js))
-                if fam.symmetry_reduction and not is_canonical(pair):
-                    continue
-                yield pair
+    def j_choices(gens):
+        if fam.j_policy == "zero":
+            return [[]]
+        # J generators lie above degree d, so one divides a generator of I
+        # only by equalling one of the degree-(d+1) extras
+        return _antichains([m for m in _poset_above(fam.n, gens) if m not in gens])
 
-    it = stream()
+    it = _pairs(fam.n, _i_candidates(fam), j_choices, fam.symmetry_reduction)
     try:
         first = next(it)
     except StopIteration:
@@ -261,8 +281,7 @@ def sample_instances(fam: InstanceFamily, count: int, seed: int):
         if fam.j_policy == "zero":
             js = ()
         else:
-            base = IdealPair.from_masks(fam.n, gens, ())
-            elements = _poset_above(base)
+            elements = _poset_above(fam.n, gens)
             picked = [m for m in elements if rng.random() < 0.3]
             js = tuple(sorted(minimalize_masks(picked), key=mask_key))
             if any(masks_contain(js, g) for g in gens):
@@ -275,32 +294,11 @@ def enumerate_all_pairs(n: int, symmetry: bool = False):
     """Every valid pair on n variables: I over nonzero antichains (including
     the unit ideal), J over antichains of I's poset above degree d.
 
-    With ``symmetry`` only canonical representatives are emitted: a pair is
-    kept exactly when its (sorted I, sorted J) key is minimal over all
-    variable permutations.  The I-part is screened first, because only an
-    I-minimal pair can be pair-minimal; the J-part is then compared only
-    under the permutations that achieve the minimal I-key.
+    With ``symmetry`` only canonical representatives are emitted.
     """
     all_masks = sorted(range(1, 1 << n), key=mask_key)
-    tables = _perm_tables(n) if symmetry else None
-    ranks = _mask_ranks(n) if symmetry else None
     i_choices = itertools.chain([[0]], (a for a in _antichains(all_masks) if a))
-    for gens in i_choices:
-        gens = tuple(gens)
-        achievers = None
-        if symmetry:
-            keys = [(_rank_key(gens, t, ranks), t) for t in tables]
-            best = min(k for k, _ in keys)
-            if _rank_key(gens, tables[0], ranks) != best:
-                continue
-            achievers = [t for k, t in keys if k == best]
-        base = IdealPair.from_masks(n, gens, ())
-        for js in _antichains(_poset_above(base)):
-            if symmetry:
-                own = _rank_key(js, tables[0], ranks)
-                if any(_rank_key(js, t, ranks) < own for t in achievers):
-                    continue
-            yield IdealPair.from_masks(n, gens, tuple(js))
+    yield from _pairs(n, i_choices, lambda gens: _antichains(_poset_above(n, gens)), symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +597,7 @@ def truncation_pair(n: int, gens: tuple[int, ...], kept_c: tuple[int, ...]) -> I
     J is generated by every degree-(d+2) monomial of I outside kept_c plus
     every degree-(d+3) monomial of I not already covered.  All of B survives.
     """
-    base = IdealPair.from_masks(n, gens, ())
-    d = base.d
+    d = min(g.bit_count() for g in gens)
     kept = set(kept_c)
     j_gens = [m for m in degree_masks(n, d + 2) if masks_contain(gens, m) and m not in kept]
     j_gens += [
@@ -896,14 +893,7 @@ def hunt_counterexamples(
         if result.status == "fail":
             failures.append(_failure_record(analysis))
     return {
-        "family": {
-            "n": fam.n,
-            "d": fam.d,
-            "k": fam.k,
-            "with_e": fam.with_e,
-            "j_policy": fam.j_policy,
-            "symmetry_reduction": fam.symmetry_reduction,
-        },
+        "family": asdict(fam),
         "check": check,
         "fields": [str(f) for f in fields],
         "counts": counts,

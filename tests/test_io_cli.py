@@ -406,6 +406,14 @@ def test_cli_verify():
     assert "degree d=0 impossible" in err
 
 
+def test_cli_symmetry_needs_exhaustive_family():
+    for argv in (["--k", "2", "--samples", "20"], []):
+        code, out, err = run_cli(["hunt", "--n", "5", "--symmetry", "--json", *argv])
+        assert code == 2
+        assert out == ""
+        assert "--exhaustive" in err
+
+
 def test_cli_hunt_json_valid():
     code, out, _ = run_cli(
         ["hunt", "--check", "floor", "--n", "3", "--k", "2", "--samples", "4", "--seed", "3", "--json"]

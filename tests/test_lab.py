@@ -1,5 +1,6 @@
 """Instance generation, theorem checks, lcm configurations, h-maps, splits."""
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,11 @@ def test_family_validation():
         InstanceFamily(3, 1, 1, j_policy="weird")
 
 
+def test_symmetry_rejected_on_sampled_family():
+    with pytest.raises(EmptyFamily, match="--exhaustive"):
+        InstanceFamily(5, 1, 2, j_policy="random", symmetry_reduction=True)
+
+
 def test_enumerate_square_family():
     fam = InstanceFamily(2, 1, 2, j_policy="exhaustive")
     got = list(enumerate_instances(fam))
@@ -173,6 +179,39 @@ def test_symmetry_reduction_matches_filter():
     assert reduced == plain
     assert len(reduced) == 39
     assert len(list(enumerate_all_pairs(2, symmetry=True))) == 9
+
+
+def _family_or_error(*args, **kwargs):
+    try:
+        return list(enumerate_instances(InstanceFamily(*args, **kwargs)))
+    except EmptyFamily as exc:
+        return str(exc)
+
+
+def test_family_symmetry_reduction_matches_filter():
+    families = pairs = 0
+    for n in range(1, 5):
+        for d, k, with_e, policy in itertools.product(
+            range(1, n + 1), range(1, 5), (False, True), ("zero", "exhaustive")
+        ):
+            plain = _family_or_error(n, d, k, with_e, policy)
+            reduced = _family_or_error(n, d, k, with_e, policy, symmetry_reduction=True)
+            if isinstance(plain, str):
+                assert isinstance(reduced, str)
+                continue
+            assert reduced == [p for p in plain if is_canonical(p)]
+            families += 1
+            pairs += len(reduced)
+    assert (families, pairs) == (96, 592)
+
+
+@pytest.mark.parametrize(
+    "n, d, k, with_e, count",
+    [(5, 1, 2, False, 288), (5, 1, 3, False, 693), (5, 1, 4, False, 542), (4, 1, 2, True, 64)],
+)
+def test_symmetric_family_counts(n, d, k, with_e, count):
+    fam = InstanceFamily(n, d, k, with_e, "exhaustive", symmetry_reduction=True)
+    assert sum(1 for _ in enumerate_instances(fam)) == count
 
 
 def test_symmetry_reduction_covers_all_orbits():
