@@ -39,20 +39,38 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = _INF
-        return False
+    def augment(root: int) -> None:
+        """Layered depth-first search from a free left vertex, on an explicit
+        stack: ``path`` holds the left vertices, ``edges`` the untried edges
+        of each, ``via`` the right vertex taken out of each but the last.
+        Reaching a free right vertex flips the whole path."""
+        path, via, edges = [root], [], [iter(adjacency[root])]
+        while path:
+            u = path[-1]
+            for v in edges[-1]:
+                w = match_r[v]
+                if w == -1:
+                    via.append(v)
+                    for left, right in zip(path, via):
+                        match_l[left] = right
+                        match_r[right] = left
+                    return
+                if dist[w] == dist[u] + 1:
+                    path.append(w)
+                    via.append(v)
+                    edges.append(iter(adjacency[w]))
+                    break
+            else:
+                dist[u] = _INF
+                path.pop()
+                edges.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for u in range(n_left):
             if match_l[u] == -1:
-                dfs(u)
+                augment(u)
     return {u: v for u, v in enumerate(match_l) if v != -1}
 
 

@@ -9,9 +9,17 @@ valid partition can be rewritten into this form interval by interval (each
 member set is a boolean lattice; split off the highest free variable and
 recurse), so restricting the search loses nothing.
 
-Within the search, the canonically first uncovered element of degree < t
-must head its interval: any other candidate bottom would divide it, hence
-be canonically earlier and still uncovered. Branching happens only there.
+Within the search, let j0 be the lowest degree of an uncovered element
+below t. Every uncovered element of degree j0 is minimal among the
+uncovered elements (anything dividing it has lower degree, so is covered),
+so it must head its own interval. That interval ends in degree t and lies
+wholly in uncovered elements: call a degree-t top over the element live
+when the interval up to it misses every covered element. The search
+branches on the uncovered degree-j0 element with the fewest live tops,
+ties going to the canonically first (the minimum-remaining-values rule of
+Knuth's Algorithm X, "Dancing links", 2000). An element with no live top
+refutes the node outright. Whether a node is refuted depends on its
+covered set alone, so refuted covered sets are memoised.
 """
 
 from __future__ import annotations
@@ -173,7 +181,12 @@ def _hasse(pair: IdealPair) -> _Hasse:
 
 
 class _DecisionSearch:
-    """One sdepth >= target decision over a fixed poset."""
+    """One sdepth >= target decision over a fixed poset.
+
+    An interval from a low element up to a degree-target top is held as its
+    member index bitset. Canonical order is degree-major, so the top is the
+    member of highest index, ``elems[bits.bit_length() - 1]``.
+    """
 
     def __init__(self, hasse: _Hasse, n: int, target: int):
         self.n = n
@@ -183,35 +196,39 @@ class _DecisionSearch:
         self.index = hasse.index
         # canonical order is degree-major, so the low elements form a prefix
         self.n_low = hasse.start[target]
-        self.candidates = [self._tops_for(i) for i in range(self.n_low)]
+        self.candidates = self._tops()
         self.dead: set[int] = set()
         self.nodes = 0
+        # (bottom index, member bitset) of each committed interval
         self.committed: list[tuple[int, int]] = []
 
-    def _tops_for(self, i: int) -> list[tuple[int, int]]:
-        """(top mask, member index bitset) for each degree-target top over element i."""
-        w = self.elems[i]
-        need = self.target - w.bit_count()
-        free = [v for v in range(self.n) if not w >> v & 1]
-        tops = []
-        for combo in itertools.combinations(free, need):
-            v = w
-            for bit in combo:
-                v |= 1 << bit
-            if v in self.index:
-                tops.append(v)
-        tops.sort(key=mask_key)
-        out = []
-        for v in tops:
-            bits = 0
-            free_bits = v & ~w
-            sub = free_bits
-            while True:
-                bits |= 1 << self.index[w | sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free_bits
-            out.append((v, bits))
+    def _tops(self) -> list[list[int]]:
+        """For each low element w, the member bitsets of the intervals from w
+        to each degree-target top, in canonical order of the tops.
+
+        Built top by top, one degree down at a time. The elements of
+        I \\ J below a top v are closed upward within v's subsets, and the
+        members of [w, v] are w and the members of [w + x, v] for each
+        variable x in v but not in w.
+        """
+        index = self.index
+        start = self.hasse.start
+        out: list[list[int]] = [[] for _ in range(self.n_low)]
+        for top in range(start[self.target], start[self.target + 1]):
+            v = self.elems[top]
+            variables = [1 << x for x in range(self.n) if v >> x & 1]
+            members = {v: 1 << top}
+            layer = [v]
+            while layer:
+                below = {u ^ b for u in layer for b in variables if u & b}
+                layer = [w for w in below if w in index]
+                for w in layer:
+                    bits = 1 << index[w]
+                    for b in variables:
+                        if not w & b:
+                            bits |= members[w | b]
+                    members[w] = bits
+                    out[index[w]].append(bits)
         return out
 
     def _matching_dead(self, covered: int, scan_from: int) -> bool:
@@ -231,16 +248,42 @@ class _DecisionSearch:
         adjacency = [[p for p in up[lo + i] if free_up >> p & 1] for i in left]
         return len(hopcroft_karp(adjacency, hi - mid)) < len(left)
 
+    def _branch_element(self, covered: int, first: int) -> int | None:
+        """The uncovered element of the lowest uncovered degree with the
+        fewest live tops (ties to the canonically first), or None when one
+        of them has no live top left; ``first`` is the first uncovered index."""
+        stop = min(self.hasse.start[self.elems[first].bit_count() + 1], self.n_low)
+        free = ~(covered >> first) & ((1 << (stop - first)) - 1)
+        best, fewest = first, len(self.candidates[first]) + 1
+        while free:
+            low = free & -free
+            free ^= low
+            e = first + low.bit_length() - 1
+            live = 0
+            for bits in self.candidates[e]:
+                if not bits & covered:
+                    live += 1
+                    if live == fewest:
+                        break
+            if live < fewest:
+                best, fewest = e, live
+                if live <= 1:
+                    break
+        return best if fewest else None
+
     def run(self, budget: int | None) -> bool | None:
         """True = satisfiable, False = not, None = budget ran out.
 
         Depth-first over an explicit stack, so the search depth (one level
         per committed interval) is not bounded by the recursion limit. Each
-        open node on ``stack`` keeps its covered set, its branching element
-        and an iterator over that element's untried tops; ``committed``
-        holds the interval chosen at every open node but the deepest.
+        open node on ``stack`` keeps its covered set, its first uncovered
+        index, its branching element and an iterator over that element's
+        untried tops; ``committed`` holds the interval chosen at every open
+        node but the deepest. A node is dead when its branching element has
+        no live top or the matching prune fails; dead covered sets are
+        memoised in ``dead``.
         """
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        stack: list[tuple[int, int, int, Iterator[int]]] = []
         covered, scan_from = 0, 0
         while True:
             self.nodes += 1
@@ -252,43 +295,38 @@ class _DecisionSearch:
             if i >= self.n_low:
                 return True
             if covered not in self.dead:
-                if self._matching_dead(covered, i):
+                e = self._branch_element(covered, i)
+                if e is None or self._matching_dead(covered, i):
                     self.dead.add(covered)
                 else:
-                    stack.append((covered, i, iter(self.candidates[i])))
-            # descend into the next fitting top of the deepest open node,
+                    stack.append((covered, i, e, iter(self.candidates[e])))
+            # descend into the next live top of the deepest open node,
             # closing (and memoising) every node whose tops are used up
             while stack:
                 del self.committed[len(stack) - 1:]
-                covered, i, tops = stack[-1]
-                for top, bits in tops:
+                covered, i, e, tops = stack[-1]
+                for bits in tops:
                     if not bits & covered:
                         break
                 else:
                     stack.pop()
                     self.dead.add(covered)
                     continue
-                self.committed.append((self.elems[i], top))
-                covered, scan_from = covered | bits, i + 1
+                self.committed.append((e, bits))
+                covered, scan_from = covered | bits, i
                 break
             else:
                 return False
 
     def partition(self) -> IntervalPartition:
-        n = self.n
+        n, elems = self.n, self.elems
         taken = 0
         intervals = []
-        for w, v in self.committed:
-            intervals.append(Interval(Monomial(w, n), Monomial(v, n)))
-        for w, v in self.committed:
-            free_bits = v & ~w
-            sub = free_bits
-            while True:
-                taken |= 1 << self.index[w | sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free_bits
-        for i, m in enumerate(self.elems):
+        for e, bits in self.committed:
+            top = elems[bits.bit_length() - 1]
+            intervals.append(Interval(Monomial(elems[e], n), Monomial(top, n)))
+            taken |= bits
+        for i, m in enumerate(elems):
             if not taken >> i & 1:
                 mono = Monomial(m, n)
                 intervals.append(Interval(mono, mono))

@@ -34,7 +34,7 @@ from sqdepth.lab import (
     HypothesisMismatch,
 )
 from sqdepth.monomial import IdealPair, ValidationError, build_poset
-from sqdepth.partition import sdepth_exact
+from sqdepth.partition import sdepth_decision, sdepth_exact, verify_partition
 
 CHARS = (0, 2, 3)
 SEED = 20260819
@@ -130,6 +130,25 @@ def test_criterion_1_sdepth_matches_exhaustive_oracle():
     assert elapsed < 600
     print(f"criterion 1: PASS - {checked} pairs agree with the brute-force "
           f"partition oracle in {elapsed:.1f}s")
+
+
+def test_sdepth_decision_matches_oracle_at_every_target():
+    # targets below the answer are never tried by sdepth_exact, yet every
+    # prune of the decision search must be sound there too
+    t0 = time.monotonic()
+    decisions = 0
+    for pair in small_corpus():
+        expected = naive_sdepth(pair)
+        for t in range(pair.d, pair.n + 1):
+            part = sdepth_decision(pair, t)
+            assert (part is not None) == (t <= expected), f"{pair} target {t}"
+            if part is not None:
+                assert verify_partition(pair, part), f"{pair} target {t}"
+                assert part.sdepth_value >= t
+            decisions += 1
+    assert decisions == 20719
+    print(f"sdepth decision: PASS - {decisions} (pair, target) decisions agree with "
+          f"the brute-force partition oracle in {time.monotonic() - t0:.1f}s")
 
 
 def test_criterion_2_depth_matches_full_koszul_oracle():

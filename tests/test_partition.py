@@ -171,6 +171,16 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert proc.stdout.strip() == "6"
 
 
+def test_heavy_tail_instance_within_a_small_budget():
+    # refuting target 6 took 79,533 nodes when the search always branched on
+    # the first uncovered element; branching on the fewest live tops takes
+    # a few thousand
+    p = pair(8, [[1, 3], [1, 8], [2, 4], [3, 5], [3, 6], [3, 7], [3, 8], [6, 8]])
+    res = sdepth_exact(p, budget=20_000)
+    assert res.value == 5
+    assert verify_partition(p, res.certificate)
+
+
 # ---------------------------------------------------------------------------
 # matching upper bound
 
