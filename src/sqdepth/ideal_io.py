@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 
-from .monomial import IdealPair, Monomial, minimalize_masks
+from .monomial import IdealPair
 
 
 class ParseError(ValueError):
@@ -103,13 +103,11 @@ def parse_ideal_json(text: str) -> tuple[IdealPair, list[str]]:
 def _build(n, gens_i, gens_j) -> tuple[IdealPair, list[str]]:
     pair = IdealPair.from_variable_lists(n, gens_i, gens_j)
     warnings = []
-    in_i = minimalize_masks(Monomial.from_variables(g, n).mask for g in gens_i)
-    if len(in_i) != len(gens_i):
+    # the pair holds the minimal generators, so a shorter tuple means redundancy
+    if len(pair.i_masks) != len(gens_i):
         warnings.append("I generators were not minimal; redundant ones dropped")
-    if gens_j:
-        in_j = minimalize_masks(Monomial.from_variables(g, n).mask for g in gens_j)
-        if len(in_j) != len(gens_j):
-            warnings.append("J generators were not minimal; redundant ones dropped")
+    if len(pair.j_masks) != len(gens_j):
+        warnings.append("J generators were not minimal; redundant ones dropped")
     return pair, warnings
 
 

@@ -456,8 +456,7 @@ class LcmConfiguration:
 
 
 def _q_pair_counts(pair: IdealPair, lcms) -> dict:
-    layers = build_poset(pair)
-    c_masks = [c.mask for c in layers.c_layer]
+    c_masks = build_poset(pair).layer_masks(pair.d + 2)
     out = {}
     for ij, (w, _cls) in lcms.items():
         out[ij] = sum(1 for c in c_masks if c & w.mask == w.mask)
@@ -481,9 +480,9 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
     if any(cls is LcmClass.EQUALS_GENERATOR for _, cls in lcms.values()):
         raise NotApplicable("some pairwise lcm equals a generator")
     w_masks = [w.mask for w, _ in lcms.values()]
-    for c in layers.c_layer:
-        if not any(c.mask & w == w for w in w_masks):
-            raise NotApplicable(f"C element {c} avoids every pairwise lcm")
+    for c in layers.layer_masks(inst.d + 2):
+        if not any(c & w == w for w in w_masks):
+            raise NotApplicable(f"C element {Monomial(c, inst.n)} avoids every pairwise lcm")
     qp = _q_pair_counts(inst, lcms)
 
     if k == 2:
@@ -747,8 +746,7 @@ class PathReport:
 
 def removal_pair(inst: IdealPair, b: Monomial) -> IdealPair | None:
     """The derived pair I_b/J_b for b in B: I_b = (B \\ {b}), J_b = J cap I_b."""
-    layers = build_poset(inst)
-    rest = [m.mask for m in layers.b_layer if m.mask != b.mask]
+    rest = [m for m in build_poset(inst).layer_masks(inst.d + 1) if m != b.mask]
     if not rest:
         return None
     jb = intersect_masks(inst.j_masks, tuple(rest))

@@ -11,9 +11,10 @@ variable indices.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 MAX_VARS = 24
 
@@ -49,6 +50,16 @@ def mask_variables(mask: int) -> tuple[int, ...]:
 def mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical sort key: degree first, then lex on variable indices."""
     return (mask.bit_count(), mask_variables(mask))
+
+
+def submasks(free: int) -> Iterator[int]:
+    """Every submask of ``free``, from ``free`` itself down to 0."""
+    sub = free
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,13 @@ class IdealPair:
     J is contained in I, the difference I \\ J is nonempty, and every
     generator of J has degree at least d+1 where d is the least generator
     degree of I. The unit ideal I = S is represented by the single generator
-    1 (empty mask, d = 0); J = 0 by an empty generator tuple.
+    1 (empty mask, d = 0); J = 0 by an empty generator tuple. The generators
+    are held as masks in canonical order.
     """
 
     n: int
-    gens_i: tuple[Monomial, ...]
-    gens_j: tuple[Monomial, ...]
+    i_masks: tuple[int, ...]
+    j_masks: tuple[int, ...]
     d: int
 
     @classmethod
@@ -167,12 +179,7 @@ class IdealPair:
                     f"J generator {Monomial(m, n)} has degree {m.bit_count()} <= d = {d}; "
                     "J must be generated in degrees >= d+1"
                 )
-        return cls(
-            n=n,
-            gens_i=tuple(Monomial(m, n) for m in mi),
-            gens_j=tuple(Monomial(m, n) for m in mj),
-            d=d,
-        )
+        return cls(n=n, i_masks=mi, j_masks=mj, d=d)
 
     @classmethod
     def from_variable_lists(cls, n: int, gens_i, gens_j) -> "IdealPair":
@@ -180,19 +187,19 @@ class IdealPair:
         return cls.from_masks(n, [to_mask(g) for g in gens_i], [to_mask(g) for g in gens_j])
 
     @property
-    def i_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens_i)
+    def gens_i(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(m, self.n) for m in self.i_masks)
 
     @property
-    def j_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens_j)
+    def gens_j(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(m, self.n) for m in self.j_masks)
 
     def degree_d_gens(self) -> tuple[Monomial, ...]:
-        return tuple(g for g in self.gens_i if g.degree == self.d)
+        return tuple(Monomial(m, self.n) for m in self.i_masks if m.bit_count() == self.d)
 
     def extra_gens(self) -> tuple[Monomial, ...]:
         """Generators of I of degree > d (the set E)."""
-        return tuple(g for g in self.gens_i if g.degree > self.d)
+        return tuple(Monomial(m, self.n) for m in self.i_masks if m.bit_count() > self.d)
 
     def contains(self, mono: Monomial) -> bool:
         """Membership in the difference I \\ J."""
@@ -201,20 +208,51 @@ class IdealPair:
 
 @dataclass(frozen=True)
 class PosetLayers:
-    """The divisibility poset of squarefree monomials in I \\ J, layered by degree."""
+    """The divisibility poset of squarefree monomials in I \\ J, layered by degree.
+
+    ``elems`` holds the element masks in canonical order and ``rho[k]`` the
+    size of layer k for k in 0..n. Layer k is the index range
+    ``start[k]:start[k + 1]`` for k in 0..n+1 (layer n+1 is empty).
+    ``up[i]`` lists the offsets, within the next layer, of the elements one
+    variable above element i, by increasing variable.
+    """
 
     pair: IdealPair
-    by_degree: tuple[tuple[Monomial, ...], ...]
+    elems: tuple[int, ...]
     rho: tuple[int, ...]
 
     @property
     def d(self) -> int:
         return self.pair.d
 
-    def layer(self, degree: int) -> tuple[Monomial, ...]:
-        if 0 <= degree < len(self.by_degree):
-            return self.by_degree[degree]
+    @cached_property
+    def start(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate((*self.rho, 0), initial=0))
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.elems)}
+
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        index, start = self.index, self.start
+        up = []
+        for m in self.elems:
+            base = start[m.bit_count() + 1]
+            up.append(tuple(
+                index[m | 1 << v] - base
+                for v in range(self.pair.n)
+                if not m >> v & 1 and (m | 1 << v) in index
+            ))
+        return tuple(up)
+
+    def layer_masks(self, degree: int) -> tuple[int, ...]:
+        if 0 <= degree < len(self.rho):
+            return self.elems[self.start[degree]:self.start[degree + 1]]
         return ()
+
+    def layer(self, degree: int) -> tuple[Monomial, ...]:
+        return tuple(Monomial(m, self.pair.n) for m in self.layer_masks(degree))
 
     @property
     def b_layer(self) -> tuple[Monomial, ...]:
@@ -234,17 +272,14 @@ class PosetLayers:
 
     @property
     def s(self) -> int:
-        return len(self.b_layer)
+        return self.rho[self.d + 1] if self.d + 1 < len(self.rho) else 0
 
     @property
     def q(self) -> int:
-        return len(self.c_layer)
+        return self.rho[self.d + 2] if self.d + 2 < len(self.rho) else 0
 
     def elements(self) -> tuple[Monomial, ...]:
-        return tuple(itertools.chain.from_iterable(self.by_degree))
-
-    def element_masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.elements())
+        return tuple(Monomial(m, self.pair.n) for m in self.elems)
 
 
 def poset_masks(pair: IdealPair) -> set[int]:
@@ -256,13 +291,7 @@ def poset_masks(pair: IdealPair) -> set[int]:
     seen: set[int] = set()
     full = (1 << pair.n) - 1
     for g in pair.i_masks:
-        free = full & ~g
-        sub = free
-        while True:
-            seen.add(g | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
+        seen.update(g | sub for sub in submasks(full & ~g))
     jm = pair.j_masks
     if jm:
         seen = {m for m in seen if not masks_contain(jm, m)}
@@ -271,20 +300,14 @@ def poset_masks(pair: IdealPair) -> set[int]:
 
 @lru_cache(maxsize=512)
 def build_poset(pair: IdealPair) -> PosetLayers:
-    """Layer the poset of I \\ J by degree, each layer in canonical order."""
-    masks = poset_masks(pair)
-    if not masks:
+    """The poset of I \\ J as its element masks in canonical order."""
+    elems = tuple(sorted(poset_masks(pair), key=mask_key))
+    if not elems:
         raise PosetEmpty("I \\ J contains no squarefree monomial")
-    by_degree: list[list[Monomial]] = [[] for _ in range(pair.n + 1)]
-    for m in masks:
-        by_degree[m.bit_count()].append(Monomial(m, pair.n))
-    for layer in by_degree:
-        layer.sort()
-    return PosetLayers(
-        pair=pair,
-        by_degree=tuple(tuple(layer) for layer in by_degree),
-        rho=tuple(len(layer) for layer in by_degree),
-    )
+    rho = [0] * (pair.n + 1)
+    for m in elems:
+        rho[m.bit_count()] += 1
+    return PosetLayers(pair=pair, elems=elems, rho=tuple(rho))
 
 
 class LcmClass(Enum):

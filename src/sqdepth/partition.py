@@ -24,14 +24,20 @@ covered set alone, so refuted covered sets are memoised.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .criteria import best_upper_bound
 from .matching import hall_violator, hopcroft_karp
-from .monomial import IdealPair, InvariantError, Monomial, build_poset, mask_key
+from .monomial import (
+    IdealPair,
+    InvariantError,
+    Monomial,
+    PosetLayers,
+    build_poset,
+    mask_key,
+    submasks,
+)
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -70,15 +76,7 @@ class Interval:
 
     def member_masks(self) -> list[int]:
         base = self.lo.mask
-        free = self.hi.mask & ~base
-        out = []
-        sub = free
-        while True:
-            out.append(base | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        return out
+        return [base | sub for sub in submasks(self.hi.mask & ~base)]
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -115,8 +113,7 @@ class HallCheck:
 
 def partition_violations(pair: IdealPair, part: IntervalPartition) -> list[str]:
     """Diagnostics for an alleged interval partition; empty means valid."""
-    layers = build_poset(pair)
-    poset = set(layers.element_masks())
+    poset = build_poset(pair).index
     problems: list[str] = []
     covered: dict[int, Interval] = {}
     for iv in part.intervals:
@@ -131,7 +128,7 @@ def partition_violations(pair: IdealPair, part: IntervalPartition) -> list[str]:
                 problems.append(f"{Monomial(m, pair.n)} covered by both {covered[m]} and {iv}")
             else:
                 covered[m] = iv
-    missing = poset - covered.keys()
+    missing = poset.keys() - covered.keys()
     for m in sorted(missing, key=mask_key):
         problems.append(f"{Monomial(m, pair.n)} is covered by no interval")
     if part.intervals:
@@ -147,39 +144,6 @@ def verify_partition(pair: IdealPair, part: IntervalPartition) -> bool:
     return not partition_violations(pair, part)
 
 
-@dataclass(frozen=True)
-class _Hasse:
-    """The poset's element masks in canonical order, with their upper covers.
-
-    Layer k is the index range ``start[k]:start[k + 1]`` for k in 0..n+1
-    (layer n+1 is empty). ``up[i]`` lists the offsets, within the next
-    layer, of the elements one variable above element i, by increasing
-    variable.
-    """
-
-    elems: tuple[int, ...]
-    index: dict[int, int]
-    start: tuple[int, ...]
-    up: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=32)
-def _hasse(pair: IdealPair) -> _Hasse:
-    layers = build_poset(pair)
-    elems = layers.element_masks()
-    index = {m: i for i, m in enumerate(elems)}
-    start = tuple(itertools.accumulate((*layers.rho, 0), initial=0))
-    up = []
-    for m in elems:
-        base = start[m.bit_count() + 1]
-        up.append(tuple(
-            index[m | 1 << v] - base
-            for v in range(pair.n)
-            if not m >> v & 1 and (m | 1 << v) in index
-        ))
-    return _Hasse(elems, index, start, tuple(up))
-
-
 class _DecisionSearch:
     """One sdepth >= target decision over a fixed poset.
 
@@ -188,14 +152,14 @@ class _DecisionSearch:
     member of highest index, ``elems[bits.bit_length() - 1]``.
     """
 
-    def __init__(self, hasse: _Hasse, n: int, target: int):
-        self.n = n
+    def __init__(self, poset: PosetLayers, target: int):
+        self.n = poset.pair.n
         self.target = target
-        self.hasse = hasse
-        self.elems = hasse.elems
-        self.index = hasse.index
+        self.poset = poset
+        self.elems = poset.elems
+        self.index = poset.index
         # canonical order is degree-major, so the low elements form a prefix
-        self.n_low = hasse.start[target]
+        self.n_low = poset.start[target]
         self.candidates = self._tops()
         self.dead: set[int] = set()
         self.nodes = 0
@@ -212,7 +176,7 @@ class _DecisionSearch:
         variable x in v but not in w.
         """
         index = self.index
-        start = self.hasse.start
+        start = self.poset.start
         out: list[list[int]] = [[] for _ in range(self.n_low)]
         for top in range(start[self.target], start[self.target + 1]):
             v = self.elems[top]
@@ -235,7 +199,7 @@ class _DecisionSearch:
         """Prune: uncovered elements in the lowest active layer are all
         poset-minimal among uncovered, so each heads its own interval and
         needs a private uncovered multiple one degree up."""
-        start = self.hasse.start
+        start = self.poset.start
         j0 = self.elems[scan_from].bit_count()
         lo, mid, hi = start[j0], start[j0 + 1], start[j0 + 2]
         # uncovered bits of layers j0 and j0 + 1, from index lo on
@@ -244,7 +208,7 @@ class _DecisionSearch:
         free_up = free >> (mid - lo)
         if free_up.bit_count() < len(left):
             return True
-        up = self.hasse.up
+        up = self.poset.up
         adjacency = [[p for p in up[lo + i] if free_up >> p & 1] for i in left]
         return len(hopcroft_karp(adjacency, hi - mid)) < len(left)
 
@@ -252,7 +216,7 @@ class _DecisionSearch:
         """The uncovered element of the lowest uncovered degree with the
         fewest live tops (ties to the canonically first), or None when one
         of them has no live top left; ``first`` is the first uncovered index."""
-        stop = min(self.hasse.start[self.elems[first].bit_count() + 1], self.n_low)
+        stop = min(self.poset.start[self.elems[first].bit_count() + 1], self.n_low)
         free = ~(covered >> first) & ((1 << (stop - first)) - 1)
         best, fewest = first, len(self.candidates[first]) + 1
         while free:
@@ -339,7 +303,7 @@ def sdepth_decision(
     """A partition with all tops of degree >= target, or None if none exists."""
     if not pair.d <= target <= pair.n:
         raise InvalidTarget(f"target {target} outside {pair.d}..{pair.n}")
-    search = _DecisionSearch(_hasse(pair), pair.n, target)
+    search = _DecisionSearch(build_poset(pair), target)
     outcome = search.run(budget)
     if outcome is None:
         raise BudgetExhausted(search.nodes)
@@ -356,14 +320,14 @@ def matching_upper_bound(pair: IdealPair) -> int:
     elements of degree j+1. The bound is the first j where that matching
     cannot saturate, or n if none fails.
     """
-    hasse = _hasse(pair)
+    poset = build_poset(pair)
     by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for g in pair.gens_i:
-        if pair.contains(g):
-            by_degree.setdefault(g.degree, []).append(hasse.up[hasse.index[g.mask]])
+    for g in pair.i_masks:
+        if g in poset.index:
+            by_degree.setdefault(g.bit_count(), []).append(poset.up[poset.index[g]])
     for j in sorted(by_degree):
         adjacency = by_degree[j]
-        n_up = hasse.start[j + 2] - hasse.start[j + 1]
+        n_up = poset.start[j + 2] - poset.start[j + 1]
         if len(hopcroft_karp(adjacency, n_up)) < len(adjacency):
             return j
     return pair.n
@@ -397,14 +361,13 @@ def sdepth_exact(pair: IdealPair, budget: int | None = DEFAULT_NODE_BUDGET) -> S
     reaches target T, so a test fired at level t refutes target t+1 and,
     by monotonicity, every target above it: sdepth <= t.
     """
-    layers = build_poset(pair)
-    hasse = _hasse(pair)
-    counted, _ = best_upper_bound(layers)
+    poset = build_poset(pair)
+    counted, _ = best_upper_bound(poset)
     upper = min(matching_upper_bound(pair), pair.n if counted is None else counted)
     nodes_total = 0
     for t in range(upper, pair.d - 1, -1):
         remaining = None if budget is None else budget - nodes_total
-        search = _DecisionSearch(hasse, pair.n, t)
+        search = _DecisionSearch(poset, t)
         outcome = search.run(remaining)
         nodes_total += search.nodes
         if outcome is None:
@@ -422,11 +385,10 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
     saturating matching exists the returned deficient set is a Hall violator:
     more degree-d elements than the union of their B-multiples can absorb.
     """
-    layers = build_poset(pair)
-    hasse = _hasse(pair)
-    left = layers.layer(pair.d)
-    right = layers.b_layer
-    adjacency = list(hasse.up[hasse.start[pair.d]:hasse.start[pair.d + 1]])
+    poset = build_poset(pair)
+    left = poset.layer(pair.d)
+    right = poset.b_layer
+    adjacency = list(poset.up[poset.start[pair.d]:poset.start[pair.d + 1]])
     matching = hopcroft_karp(adjacency, len(right))
     if len(matching) == len(left):
         pairs = tuple((left[u], right[v]) for u, v in sorted(matching.items()))
@@ -440,17 +402,10 @@ def _split_box(base: int, free: tuple[int, ...], quota: int) -> list[tuple[int, 
     with more than ``quota`` missing degrees gets topped exactly ``quota``
     steps up, the rest become singletons. Requires len(free) >= quota."""
     if quota <= 0:
-        out = []
         sub_all = 0
         for bit in free:
             sub_all |= 1 << bit
-        sub = sub_all
-        while True:
-            out.append((base | sub, base | sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & sub_all
-        return out
+        return [(base | sub, base | sub) for sub in submasks(sub_all)]
     if len(free) == quota:
         top = base
         for bit in free:

@@ -31,7 +31,7 @@ def pair(n, gens_i, gens_j=()):
 def fake_layers(n, d, rho):
     carrier = pair(n, [list(range(1, d + 1)) or []])
     assert carrier.d == d
-    return PosetLayers(pair=carrier, by_degree=((),) * (n + 1), rho=tuple(rho))
+    return PosetLayers(pair=carrier, elems=(), rho=tuple(rho))
 
 
 def test_alternating_layer_sum_on_given_profile():

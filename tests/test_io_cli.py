@@ -263,6 +263,18 @@ def test_reports_are_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ideal")), ids=lambda p: p.stem)
+def test_analysis_report_matches_golden(path):
+    """The analysis report of each corpus file is byte-identical to its
+    recorded golden file. Regenerate them all from the repo root with
+
+    PYTHONPATH=src python3 -c "import json, pathlib, sqdepth; from sqdepth.ideal_io import load_ideal; from sqdepth.report import build_analysis_report; [pathlib.Path('tests/golden/analyze', f.stem + '.json').write_text(json.dumps(build_analysis_report(load_ideal(f)[0]), sort_keys=True, indent=2) + '\\n') for f in (pathlib.Path(sqdepth.__file__).parent / 'corpus').glob('*.ideal')]"
+    """
+    golden = Path(__file__).parent / "golden" / "analyze" / f"{path.stem}.json"
+    report = build_analysis_report(load_ideal(path)[0])
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
+
+
 def test_render_text_is_pure():
     doc = build_sdepth_report(M3)
     assert render_sdepth_text(doc) == render_sdepth_text(doc)

@@ -1,7 +1,10 @@
 """Monomial masks, ideal pair validation, poset layering, lcm classes."""
 
+import itertools
+
 import pytest
 
+from sqdepth.lab import enumerate_all_pairs
 from sqdepth.monomial import (
     IdealPair,
     LcmClass,
@@ -188,7 +191,7 @@ def test_poset_split_pair():
     layers = build_poset(p)
     assert layers.rho == (0, 2, 0)
     assert layers.s == 0 and layers.q == 0
-    assert layers.element_masks() == (0b1, 0b10)
+    assert layers.elems == (0b1, 0b10)
 
 
 def test_poset_quotient_layers():
@@ -218,16 +221,36 @@ def test_poset_masks_against_subset_scan():
 def test_poset_layer_order_is_canonical():
     p = pair(4, [[2], [3], [4]], [[2, 3, 4]])
     layers = build_poset(p)
-    for layer in layers.by_degree:
-        keys = [m.sort_key() for m in layer]
+    for k in range(p.n + 1):
+        keys = [m.sort_key() for m in layers.layer(k)]
         assert keys == sorted(keys)
 
 
 def test_poset_empty_raises():
     p = pair(2, [[1], [2]], [[1, 2]])
-    object.__setattr__(p, "gens_j", p.gens_i)  # forge an invalid pair
+    object.__setattr__(p, "j_masks", p.i_masks)  # forge an invalid pair
     with pytest.raises(PosetEmpty):
         build_poset(p)
+
+
+def test_poset_table_against_brute_force():
+    """Canonical order, layer starts, index and upper covers of every pair
+    with n <= 4, against a direct recomputation from the poset's masks."""
+    count = 0
+    for n in (1, 2, 3, 4):
+        for p in enumerate_all_pairs(n):
+            layers = build_poset(p)
+            assert layers.elems == tuple(sorted(poset_masks(p), key=mask_key))
+            assert layers.start == tuple(itertools.accumulate((*layers.rho, 0), initial=0))
+            for i, m in enumerate(layers.elems):
+                assert layers.index[m] == i
+                above = layers.layer_masks(m.bit_count() + 1)
+                covers = [m | 1 << v for v in range(n) if not m >> v & 1]
+                assert layers.up[i] == tuple(above.index(c) for c in covers if c in above)
+            for k in range(n + 1):
+                assert layers.layer(k) == tuple(Monomial(m, n) for m in layers.layer_masks(k))
+            count += 1
+    assert count == 5526
 
 
 # ---------------------------------------------------------------------------
