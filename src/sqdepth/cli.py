@@ -26,6 +26,7 @@ from .koszul import FieldSpec
 from .lab import STATEMENTS, InstanceFamily, hunt_counterexamples
 from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted
 from .report import (
+    DEFAULT_CHARS,
     build_analysis_report,
     build_criteria_report,
     build_depth_report,
@@ -69,7 +70,7 @@ def _resolve_chars(args) -> tuple[int, ...]:
     env = os.environ.get(CHARS_ENV)
     if env:
         return _parse_chars(env)
-    return (0, 2, 3)
+    return DEFAULT_CHARS
 
 
 _GLOBAL_FLAGS = (

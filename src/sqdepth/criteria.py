@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .monomial import IdealPair, InvariantError, PosetLayers, build_poset
 
@@ -50,26 +51,27 @@ class CriterionVerdict:
         return self.t if self.fired else None
 
 
-def _layers(obj: IdealPair | PosetLayers) -> PosetLayers:
-    if isinstance(obj, IdealPair):
-        return build_poset(obj)
-    return obj
+def _profile(obj: IdealPair | PosetLayers) -> tuple[tuple[int, ...], int]:
+    """The layer counts rho and the degree d, the only inputs of every test."""
+    layers = build_poset(obj) if isinstance(obj, IdealPair) else obj
+    return layers.rho, layers.d
 
 
 def alternating_layer_sum(layers: IdealPair | PosetLayers, t: int) -> int:
     """alpha_t: the alternating sum of rho_d .. rho_t, last term positive."""
-    layers = _layers(obj=layers)
-    d, n = layers.d, layers.pair.n
-    if not d <= t < n:
-        raise OutOfRange(f"level t={t} outside [{d}, {n})")
-    return sum((-1) ** (t - d + i) * layers.rho[d + i] for i in range(t - d + 1))
+    return alternating_criterion(layers, t).rhs
 
 
 def alternating_criterion(layers: IdealPair | PosetLayers, t: int) -> CriterionVerdict:
     """Test rho_{t+1} < alpha_t; fired means depth <= t in every characteristic."""
-    layers = _layers(obj=layers)
-    rhs = alternating_layer_sum(layers, t)
-    lhs = layers.rho[t + 1]
+    return _alternating(*_profile(layers), t)
+
+
+def _alternating(rho: tuple[int, ...], d: int, t: int) -> CriterionVerdict:
+    if not d <= t < len(rho) - 1:
+        raise OutOfRange(f"level t={t} outside [{d}, {len(rho) - 1})")
+    lhs = rho[t + 1]
+    rhs = sum((-1) ** (t - d + i) * rho[d + i] for i in range(t - d + 1))
     return CriterionVerdict("alternating", t, None, lhs, rhs, lhs < rhs)
 
 
@@ -79,36 +81,38 @@ def binomial_criterion(layers: IdealPair | PosetLayers, t: int, k: int) -> Crite
     Admissible when d <= t < n and d+1 <= k <= t+1.  At k = t+1 the sum
     collapses to alpha_t, so this strictly generalizes the alternating test.
     """
-    layers = _layers(obj=layers)
-    d, n = layers.d, layers.pair.n
-    if not d <= t < n:
-        raise OutOfRange(f"level t={t} outside [{d}, {n})")
+    return _binomial(*_profile(layers), t, k)
+
+
+def _binomial(rho: tuple[int, ...], d: int, t: int, k: int) -> CriterionVerdict:
+    if not d <= t < len(rho) - 1:
+        raise OutOfRange(f"level t={t} outside [{d}, {len(rho) - 1})")
     if not d + 1 <= k <= t + 1:
         raise OutOfRange(f"index k={k} outside [{d + 1}, {t + 1}]")
-    lhs = layers.rho[k]
-    rhs = sum(
-        (-1) ** (k - j + 1) * math.comb(t + 1 - j, k - j) * layers.rho[j]
-        for j in range(d, k)
-    )
+    lhs = rho[k]
+    rhs = sum((-1) ** (k - j + 1) * math.comb(t + 1 - j, k - j) * rho[j] for j in range(d, k))
     return CriterionVerdict("binomial", t, k, lhs, rhs, lhs < rhs)
 
 
-def all_verdicts(layers: IdealPair | PosetLayers) -> list[CriterionVerdict]:
+def all_verdicts(layers: IdealPair | PosetLayers) -> tuple[CriterionVerdict, ...]:
     """Every admissible verdict, alternating before binomial at each level."""
-    layers = _layers(obj=layers)
-    d, n = layers.d, layers.pair.n
-    out: list[CriterionVerdict] = []
-    for t in range(d, n):
-        out.append(alternating_criterion(layers, t))
-        for k in range(d + 1, t + 2):
-            out.append(binomial_criterion(layers, t, k))
-    return out
+    return _sweep(*_profile(layers))[1]
 
 
 def best_upper_bound(
     layers: IdealPair | PosetLayers,
-) -> tuple[int | None, list[CriterionVerdict]]:
+) -> tuple[int | None, tuple[CriterionVerdict, ...]]:
     """Sweep all admissible tests; return (minimal fired t or None, all verdicts)."""
-    verdicts = all_verdicts(layers)
+    return _sweep(*_profile(layers))
+
+
+@lru_cache(maxsize=32)
+def _sweep(rho: tuple[int, ...], d: int) -> tuple[int | None, tuple[CriterionVerdict, ...]]:
+    """The sweep for one layer profile, shared by the search's start bound and
+    the report's criteria section, which both ask for it on one poset."""
+    verdicts: list[CriterionVerdict] = []
+    for t in range(d, len(rho) - 1):
+        verdicts.append(_alternating(rho, d, t))
+        verdicts.extend(_binomial(rho, d, t, k) for k in range(d + 1, t + 2))
     fired = [v.t for v in verdicts if v.fired]
-    return (min(fired) if fired else None, verdicts)
+    return (min(fired) if fired else None, tuple(verdicts))

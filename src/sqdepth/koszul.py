@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import is_prime, rank_char0, rank_mod_p
-from .monomial import IdealPair, InvariantError, Monomial, mask_key, masks_contain
+from .monomial import IdealPair, InvariantError, Monomial, build_poset, mask_key
 
 
 class StrandInvariantError(InvariantError):
@@ -50,33 +50,22 @@ class FieldSpec:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
 
-def _strand_spaces(pair: IdealPair, exponents: tuple[int, ...]):
+DEFAULT_FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
+
+
+def _strand_spaces(members, sigma: int, squared: int = 0):
     """Bases and integer boundary matrices of one multidegree strand.
 
-    ``exponents`` is the multidegree as an exponent vector; entries beyond 1
-    only occur in the paranoid concentration check. Returns (bases,
-    boundaries) where bases[i] lists the tau masks in canonical order and
-    boundaries[i] is the matrix of d_i : C_i -> C_(i-1), rows indexed by
-    bases[i-1].
+    The multidegree is sigma plus ``squared``, a mask of variables of sigma
+    whose exponent is 2; it is nonzero only in the paranoid concentration
+    check. tau is a basis element when the monomial of multidegree
+    sigma + squared - tau lies in I \\ J, that is when its support
+    ``(sigma ^ tau) | squared`` is in ``members``, the masks of the poset of
+    I \\ J. Returns (bases, boundaries) where bases[i] lists the tau masks in
+    canonical order and boundaries[i] is the matrix of d_i : C_i -> C_(i-1),
+    rows indexed by bases[i-1].
     """
-    n = pair.n
-    support = [v for v in range(n) if exponents[v] > 0]
-    support_mask = 0
-    for v in support:
-        support_mask |= 1 << v
-    im, jm = pair.i_masks, pair.j_masks
-
-    def complement_support(tau: int) -> int:
-        mask = 0
-        for v in support:
-            if exponents[v] - (tau >> v & 1) > 0:
-                mask |= 1 << v
-        return mask
-
-    def in_difference(tau: int) -> bool:
-        m = complement_support(tau)
-        return masks_contain(im, m) and not masks_contain(jm, m)
-
+    support = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
     top = len(support)
     bases: list[list[int]] = [[] for _ in range(top + 1)]
     for size in range(top + 1):
@@ -84,7 +73,7 @@ def _strand_spaces(pair: IdealPair, exponents: tuple[int, ...]):
             tau = 0
             for v in combo:
                 tau |= 1 << v
-            if in_difference(tau):
+            if (sigma ^ tau) | squared in members:
                 bases[size].append(tau)
 
     boundaries: list[list[list[int]]] = [[]]
@@ -133,7 +122,7 @@ class KoszulStrand:
     """One multidegree strand with its homology over a chosen field."""
 
     pair: IdealPair
-    exponents: tuple[int, ...]
+    sigma: Monomial
     field: FieldSpec
     bases: tuple[tuple[int, ...], ...]
     homology: tuple[int, ...]
@@ -141,14 +130,6 @@ class KoszulStrand:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
-
-    @property
-    def sigma(self) -> Monomial:
-        mask = 0
-        for v, e in enumerate(self.exponents):
-            if e:
-                mask |= 1 << v
-        return Monomial(mask, len(self.exponents))
 
 
 def _homology_dims(bases, boundaries, characteristic: int) -> tuple[int, ...]:
@@ -166,12 +147,11 @@ def _homology_dims(bases, boundaries, characteristic: int) -> tuple[int, ...]:
 
 def build_strand(pair: IdealPair, sigma: Monomial, field: FieldSpec = FieldSpec(0)) -> KoszulStrand:
     """The strand at a squarefree multidegree, with boundary^2 = 0 verified."""
-    exponents = tuple(sigma.mask >> v & 1 for v in range(pair.n))
-    bases, boundaries = _strand_spaces(pair, exponents)
+    bases, boundaries = _strand_spaces(build_poset(pair).index, sigma.mask)
     _check_complex(bases, boundaries)
     return KoszulStrand(
         pair=pair,
-        exponents=exponents,
+        sigma=sigma,
         field=field,
         bases=tuple(bases),
         homology=_homology_dims(bases, boundaries, field.characteristic),
@@ -203,7 +183,7 @@ def _scan_masks(pair: IdealPair) -> list[int]:
 
 
 def depth_profile(
-    pair: IdealPair, fields=(FieldSpec(0), FieldSpec(2), FieldSpec(3)), paranoid: bool = False
+    pair: IdealPair, fields=DEFAULT_FIELDS, paranoid: bool = False
 ) -> dict[int, DepthResult]:
     """Depth of I/J over each requested field, sharing strand construction.
 
@@ -218,6 +198,7 @@ def depth_profile(
     best: dict[int, tuple[int, Monomial]] = {}
     open_chars = {f.characteristic for f in fields}
     cap = n - d
+    members = build_poset(pair).index
     for mask in _scan_masks(pair):
         size = mask.bit_count()
         if not open_chars:
@@ -227,8 +208,7 @@ def depth_profile(
         # smaller support can improve anything.
         if all(c in best and best[c][0] >= size for c in open_chars):
             break
-        exponents = tuple(mask >> v & 1 for v in range(n))
-        bases, boundaries = _strand_spaces(pair, exponents)
+        bases, boundaries = _strand_spaces(members, mask)
         if all(not b for b in bases):
             continue
         _check_complex(bases, boundaries)
@@ -270,25 +250,30 @@ def _paranoid_concentration(pair: IdealPair, fields) -> None:
     n = pair.n
     if n > 6:
         raise ValueError("paranoid concentration check is limited to n <= 6")
-    skipped = []
-    for mask in range(1 << n):
-        for v in range(n):
-            if mask >> v & 1:
-                exponents = tuple((mask >> u & 1) + (1 if u == v else 0) for u in range(n))
-                skipped.append((exponents, "non-squarefree multidegree"))
+    members = build_poset(pair).index
     lattice = set(_scan_masks(pair))
-    for mask in range(1 << n):
-        if mask not in lattice:
-            exponents = tuple(mask >> u & 1 for u in range(n))
-            skipped.append((exponents, "squarefree multidegree off the lcm lattices"))
-    for exponents, where in skipped:
-        bases, boundaries = _strand_spaces(pair, exponents)
+    skipped = [
+        (mask, 1 << v, "non-squarefree multidegree")
+        for mask in range(1 << n)
+        for v in range(n)
+        if mask >> v & 1
+    ]
+    skipped += [
+        (mask, 0, "squarefree multidegree off the lcm lattices")
+        for mask in range(1 << n)
+        if mask not in lattice
+    ]
+    for sigma, squared, where in skipped:
+        bases, boundaries = _strand_spaces(members, sigma, squared)
         if all(not b for b in bases):
             continue
         _check_complex(bases, boundaries)
         for f in fields:
             hom = _homology_dims(bases, boundaries, f.characteristic)
             if any(hom):
+                degree = "*".join(
+                    f"x{v + 1}" + "^2" * (squared >> v & 1) for v in range(n) if sigma >> v & 1
+                )
                 raise StrandInvariantError(
-                    f"nonzero homology {hom} at {where} {exponents} over {f}"
+                    f"nonzero homology {hom} at {where} {degree or 1} over {f}"
                 )

@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .ideal_io import pair_to_dict
-from .koszul import DepthResult, FieldSpec, depth_profile
+from .koszul import DEFAULT_FIELDS, DepthResult, depth_profile
 from .monomial import (
     IdealPair,
     InvariantError,
@@ -32,6 +32,7 @@ from .monomial import (
     Monomial,
     PosetEmpty,
     build_poset,
+    ideal_masks,
     intersect_masks,
     lcm_pairs,
     mask_key,
@@ -57,9 +58,6 @@ class NotApplicable(ValueError):
 
 class NotNormalized(ValueError):
     """A partition interval headed by a B-element does not end in C."""
-
-
-DEFAULT_FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +188,7 @@ def _antichains(elements: list[int]):
 def _poset_above(n: int, gens) -> list[int]:
     """Masks of I = (gens) above its least generator degree, canonical order."""
     d = min(g.bit_count() for g in gens)
-    return [
-        m
-        for deg in range(d + 1, n + 1)
-        for m in degree_masks(n, deg)
-        if masks_contain(gens, m)
-    ]
+    return sorted((m for m in ideal_masks(n, gens) if m.bit_count() > d), key=mask_key)
 
 
 def _i_candidates(fam: InstanceFamily):

@@ -135,10 +135,6 @@ def masks_contain(gen_masks, mask: int) -> bool:
     return any(g & mask == g for g in gen_masks)
 
 
-def ideal_contains(gens, mono: Monomial) -> bool:
-    return masks_contain([g.mask for g in gens], mono.mask)
-
-
 @dataclass(frozen=True)
 class IdealPair:
     """A validated pair of squarefree monomial ideals J < I in K[x1..xn].
@@ -263,10 +259,6 @@ class PosetLayers:
         return self.layer(self.d + 2)
 
     @property
-    def e_gens(self) -> tuple[Monomial, ...]:
-        return self.pair.extra_gens()
-
-    @property
     def r(self) -> int:
         return self.rho[self.d]
 
@@ -282,20 +274,22 @@ class PosetLayers:
         return tuple(Monomial(m, self.pair.n) for m in self.elems)
 
 
-def poset_masks(pair: IdealPair) -> set[int]:
-    """All squarefree monomial masks lying in I \\ J.
+def ideal_masks(n: int, gen_masks) -> set[int]:
+    """All squarefree monomial masks in the ideal generated by ``gen_masks``.
 
-    Built as a union of superset enumerations over the generators of I,
-    which beats scanning all 2^n subsets when generators have high degree.
+    Built as a union of superset enumerations over the generators, which
+    beats scanning all 2^n subsets when generators have high degree.
     """
+    full = (1 << n) - 1
     seen: set[int] = set()
-    full = (1 << pair.n) - 1
-    for g in pair.i_masks:
+    for g in gen_masks:
         seen.update(g | sub for sub in submasks(full & ~g))
-    jm = pair.j_masks
-    if jm:
-        seen = {m for m in seen if not masks_contain(jm, m)}
     return seen
+
+
+def poset_masks(pair: IdealPair) -> set[int]:
+    """All squarefree monomial masks lying in I \\ J."""
+    return ideal_masks(pair.n, pair.i_masks) - ideal_masks(pair.n, pair.j_masks)
 
 
 @lru_cache(maxsize=512)

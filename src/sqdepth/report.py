@@ -15,7 +15,7 @@ from importlib import resources
 from . import __version__
 from .criteria import best_upper_bound
 from .ideal_io import pair_to_dict, partition_to_dict
-from .koszul import FieldSpec
+from .koszul import DEFAULT_FIELDS, FieldSpec
 from .lab import (
     STATEMENTS,
     Analysis,
@@ -27,6 +27,7 @@ from .monomial import IdealPair, build_poset
 from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted, sdepth_decision
 
 SCHEMA_NAME = "sqdepth-report/1"
+DEFAULT_CHARS = tuple(f.characteristic for f in DEFAULT_FIELDS)
 
 
 def _error_slot(exc: Exception) -> dict:
@@ -144,7 +145,7 @@ def _meta(timing: bool, t0: float, **extra) -> dict:
 
 def build_analysis_report(
     pair: IdealPair,
-    chars: tuple[int, ...] = (0, 2, 3),
+    chars: tuple[int, ...] = DEFAULT_CHARS,
     budget: int | None = DEFAULT_NODE_BUDGET,
     paranoid: bool = False,
     timing: bool = False,
@@ -202,7 +203,7 @@ def build_sdepth_report(
 
 def build_depth_report(
     pair: IdealPair,
-    chars: tuple[int, ...] = (0, 2, 3),
+    chars: tuple[int, ...] = DEFAULT_CHARS,
     paranoid: bool = False,
     timing: bool = False,
 ) -> dict:

@@ -275,6 +275,33 @@ def test_analysis_report_matches_golden(path):
     assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
 
 
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ideal")), ids=lambda p: p.stem)
+def test_paranoid_analysis_report_matches_golden(path):
+    """The paranoid concentration check passes on every corpus file (all have
+    n <= 6) and leaves the analysis report byte-identical to its golden file."""
+    golden = Path(__file__).parent / "golden" / "analyze" / f"{path.stem}.json"
+    report = build_analysis_report(load_ideal(path)[0], paranoid=True)
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
+
+
+HUNT_GOLDENS = {
+    "verify_floor_n4_k2_exhaustive": ["verify", "floor", "--n", "4", "--k", "2", "--exhaustive"],
+    "hunt_n5_k2_exhaustive_symmetry": ["hunt", "--n", "5", "--k", "2", "--exhaustive", "--symmetry"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUNT_GOLDENS))
+def test_family_report_matches_golden(name):
+    """A family run's --json report is byte-identical to its recorded golden
+    file. Regenerate one from the repo root with
+
+    PYTHONPATH=src python3 -c "import sys; from sqdepth.cli import main; sys.exit(main(sys.argv[1:]))" <argv> --json > tests/golden/hunt/<name>.json
+    """
+    code, out, _ = run_cli(HUNT_GOLDENS[name] + ["--json"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "hunt" / f"{name}.json").read_text()
+
+
 def test_render_text_is_pure():
     doc = build_sdepth_report(M3)
     assert render_sdepth_text(doc) == render_sdepth_text(doc)

@@ -19,7 +19,7 @@ from sqdepth.koszul import (
     depth_profile,
 )
 from sqdepth.lab import enumerate_all_pairs
-from sqdepth.monomial import IdealPair, Monomial
+from sqdepth.monomial import IdealPair, Monomial, build_poset, masks_contain
 
 from oracles import full_koszul_depth
 
@@ -57,7 +57,7 @@ def test_check_complex_rejects_one_flipped_sign():
 def test_check_complex_checks_every_entry():
     # The full Koszul complex on four variables: flipping any single nonzero
     # entry breaks d d = 0, and the error names a nonzero entry of the product.
-    bases, boundaries = _strand_spaces(pair(4, [[]]), (1, 1, 1, 1))
+    bases, boundaries = _strand_spaces(build_poset(pair(4, [[]])).index, 0b1111)
     _check_complex(bases, boundaries)
     for i in range(1, len(boundaries)):
         for r, row in enumerate(boundaries[i]):
@@ -85,7 +85,35 @@ def test_strand_truncated_square():
     assert strand.dims == (0, 2, 1)
     assert strand.homology == (0, 1, 0)
     assert strand.sigma == mono(2, 1, 2)
-    assert strand.exponents == (1, 1)
+
+
+def generator_scan_bases(p, sigma, squared):
+    """Strand bases by the generator rule: tau is a basis element when the
+    support of the multidegree sigma + squared - tau lies in I and not in J."""
+    support = [v for v in range(p.n) if sigma >> v & 1]
+    bases = []
+    for size in range(len(support) + 1):
+        basis = []
+        for combo in itertools.combinations(support, size):
+            tau = sum(1 << v for v in combo)
+            m = sum(1 << v for v in support if 1 + (squared >> v & 1) - (tau >> v & 1) > 0)
+            if masks_contain(p.i_masks, m) and not masks_contain(p.j_masks, m):
+                basis.append(tau)
+        bases.append(tuple(basis))
+    return bases
+
+
+def test_strand_bases_match_generator_scan():
+    # The poset lookup gives the same bases, in the same order, as the
+    # generator scan it replaced: every sigma of every pair with n <= 4,
+    # squarefree and with one squared variable.
+    for n in (1, 2, 3, 4):
+        for p in enumerate_all_pairs(n):
+            members = build_poset(p).index
+            for sigma in range(1 << n):
+                for squared in [0] + [1 << v for v in range(n) if sigma >> v & 1]:
+                    bases, _ = _strand_spaces(members, sigma, squared)
+                    assert bases == generator_scan_bases(p, sigma, squared), (p, sigma, squared)
 
 
 def test_strand_principal_generator():

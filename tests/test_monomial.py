@@ -13,6 +13,7 @@ from sqdepth.monomial import (
     ValidationError,
     build_poset,
     extend_pair,
+    ideal_masks,
     intersect_masks,
     lcm_pairs,
     mask_degree,
@@ -216,6 +217,10 @@ def test_poset_masks_against_subset_scan():
             if masks_contain(p.i_masks, m) and not masks_contain(p.j_masks, m)
         }
         assert poset_masks(p) == brute
+        ideal = {m for m in range(1 << p.n) if masks_contain(p.i_masks, m)}
+        assert ideal_masks(p.n, p.i_masks) == ideal
+        assert poset_masks(IdealPair.from_masks(p.n, p.i_masks, ())) == ideal
+    assert ideal_masks(4, ()) == set()
 
 
 def test_poset_layer_order_is_canonical():
