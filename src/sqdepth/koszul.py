@@ -25,11 +25,13 @@ one squared variable, and none at a squarefree sigma off the lattices.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .linalg import is_prime, rank_char0, rank_mod_p
-from .monomial import IdealPair, InvariantError, Monomial, build_poset, mask_key
+from .monomial import IdealPair, InvariantError, Monomial, difference_masks, mask_key, poset_masks
 
 
 class StrandInvariantError(InvariantError):
@@ -60,10 +62,10 @@ def _strand_spaces(members, sigma: int, squared: int = 0):
     whose exponent is 2; it is nonzero only in the paranoid concentration
     check. tau is a basis element when the monomial of multidegree
     sigma + squared - tau lies in I \\ J, that is when its support
-    ``(sigma ^ tau) | squared`` is in ``members``, the masks of the poset of
-    I \\ J. Returns (bases, boundaries) where bases[i] lists the tau masks in
-    canonical order and boundaries[i] is the matrix of d_i : C_i -> C_(i-1),
-    rows indexed by bases[i-1].
+    ``(sigma ^ tau) | squared`` is in ``members``, masks of I \\ J that
+    include all those under sigma. Returns (bases, boundaries) where bases[i]
+    lists the tau masks in canonical order and boundaries[i] is the matrix of
+    d_i : C_i -> C_(i-1), rows indexed by bases[i-1].
     """
     support = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
     top = len(support)
@@ -133,21 +135,16 @@ class KoszulStrand:
 
 
 def _homology_dims(bases, boundaries, characteristic: int) -> tuple[int, ...]:
-    rank = (lambda m: rank_char0(m)) if characteristic == 0 else (
-        lambda m: rank_mod_p(m, characteristic)
-    )
-    ranks = [0] * (len(boundaries) + 1)
-    for i in range(1, len(boundaries)):
-        ranks[i] = rank(boundaries[i]) if boundaries[i] and boundaries[i][0] else 0
-    out = []
-    for i, basis in enumerate(bases):
-        out.append(len(basis) - ranks[i] - (ranks[i + 1] if i + 1 < len(ranks) else 0))
-    return tuple(out)
+    ranks = [0] * (len(bases) + 1)
+    for i, m in enumerate(boundaries):
+        if m and m[0]:
+            ranks[i] = rank_char0(m) if characteristic == 0 else rank_mod_p(m, characteristic)
+    return tuple(len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(bases))
 
 
 def build_strand(pair: IdealPair, sigma: Monomial, field: FieldSpec = FieldSpec(0)) -> KoszulStrand:
     """The strand at a squarefree multidegree, with boundary^2 = 0 verified."""
-    bases, boundaries = _strand_spaces(build_poset(pair).index, sigma.mask)
+    bases, boundaries = _strand_spaces(difference_masks(pair, (sigma.mask,)), sigma.mask)
     _check_complex(bases, boundaries)
     return KoszulStrand(
         pair=pair,
@@ -198,11 +195,12 @@ def depth_profile(
     best: dict[int, tuple[int, Monomial]] = {}
     open_chars = {f.characteristic for f in fields}
     cap = n - d
-    members = build_poset(pair).index
+    # Every scanned sigma divides the top of L_I or of L_J: read I \ J under those.
+    top_i = functools.reduce(operator.or_, pair.i_masks)
+    top_j = functools.reduce(operator.or_, pair.j_masks, 0)
+    members = difference_masks(pair, (top_i, top_j))
     for mask in _scan_masks(pair):
         size = mask.bit_count()
-        if not open_chars:
-            break
         # A strand on |sigma| variables has homology only in indices <= |sigma|,
         # so once every still-open field holds a witness at index >= size no
         # smaller support can improve anything.
@@ -250,7 +248,7 @@ def _paranoid_concentration(pair: IdealPair, fields) -> None:
     n = pair.n
     if n > 6:
         raise ValueError("paranoid concentration check is limited to n <= 6")
-    members = build_poset(pair).index
+    members = poset_masks(pair)
     lattice = set(_scan_masks(pair))
     skipped = [
         (mask, 1 << v, "non-squarefree multidegree")

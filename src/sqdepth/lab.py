@@ -188,7 +188,7 @@ def _antichains(elements: list[int]):
 def _poset_above(n: int, gens) -> list[int]:
     """Masks of I = (gens) above its least generator degree, canonical order."""
     d = min(g.bit_count() for g in gens)
-    return sorted((m for m in ideal_masks(n, gens) if m.bit_count() > d), key=mask_key)
+    return sorted((m for m in ideal_masks((1 << n) - 1, gens) if m.bit_count() > d), key=mask_key)
 
 
 def _i_candidates(fam: InstanceFamily):
@@ -587,17 +587,16 @@ def truncation_pair(n: int, gens: tuple[int, ...], kept_c: tuple[int, ...]) -> I
     """Pair with I = (gens), C = exactly kept_c, nothing above degree d+2.
 
     J is generated by every degree-(d+2) monomial of I outside kept_c plus
-    every degree-(d+3) monomial of I not already covered.  All of B survives.
+    every degree-(d+3) monomial of I; those already covered are not minimal
+    and ``from_masks`` drops them.  All of B survives.
     """
     d = min(g.bit_count() for g in gens)
-    kept = set(kept_c)
-    j_gens = [m for m in degree_masks(n, d + 2) if masks_contain(gens, m) and m not in kept]
-    j_gens += [
+    j_gens = [
         m
-        for m in degree_masks(n, d + 3)
-        if masks_contain(gens, m) and not masks_contain(j_gens, m)
+        for m in ideal_masks((1 << n) - 1, gens)
+        if m.bit_count() == d + 3 or m.bit_count() == d + 2 and m not in kept_c
     ]
-    return IdealPair.from_masks(n, gens, tuple(j_gens))
+    return IdealPair.from_masks(n, gens, j_gens)
 
 
 def _multiplier_sets(n: int, w_mask: int, banned: set[int]) -> list[int]:

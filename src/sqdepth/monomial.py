@@ -274,22 +274,27 @@ class PosetLayers:
         return tuple(Monomial(m, self.pair.n) for m in self.elems)
 
 
-def ideal_masks(n: int, gen_masks) -> set[int]:
-    """All squarefree monomial masks in the ideal generated by ``gen_masks``.
+def ideal_masks(ring: int, gen_masks) -> set[int]:
+    """The squarefree masks under ``ring`` in the ideal generated by ``gen_masks``.
 
     Built as a union of superset enumerations over the generators, which
-    beats scanning all 2^n subsets when generators have high degree.
+    beats scanning all subsets of ``ring`` when generators have high degree.
     """
-    full = (1 << n) - 1
     seen: set[int] = set()
     for g in gen_masks:
-        seen.update(g | sub for sub in submasks(full & ~g))
+        if g & ring == g:
+            seen.update(g | sub for sub in submasks(ring & ~g))
     return seen
+
+
+def difference_masks(pair: IdealPair, rings) -> set[int]:
+    """The masks of I \\ J that divide some mask in ``rings``."""
+    return set().union(*(ideal_masks(r, pair.i_masks) - ideal_masks(r, pair.j_masks) for r in rings))
 
 
 def poset_masks(pair: IdealPair) -> set[int]:
     """All squarefree monomial masks lying in I \\ J."""
-    return ideal_masks(pair.n, pair.i_masks) - ideal_masks(pair.n, pair.j_masks)
+    return difference_masks(pair, ((1 << pair.n) - 1,))
 
 
 @lru_cache(maxsize=512)

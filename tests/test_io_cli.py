@@ -263,24 +263,23 @@ def test_reports_are_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ideal")), ids=lambda p: p.stem)
-def test_analysis_report_matches_golden(path):
+@pytest.mark.parametrize(
+    "path, paranoid",
+    [
+        pytest.param(path, paranoid, id=path.stem + "-paranoid" * paranoid)
+        for paranoid in (False, True)
+        for path in sorted(CORPUS.glob("*.ideal"))
+    ],
+)
+def test_analysis_report_matches_golden(path, paranoid):
     """The analysis report of each corpus file is byte-identical to its
-    recorded golden file. Regenerate them all from the repo root with
+    recorded golden file, also with the paranoid concentration check on (all
+    corpus files have n <= 6). Regenerate them all from the repo root with
 
     PYTHONPATH=src python3 -c "import json, pathlib, sqdepth; from sqdepth.ideal_io import load_ideal; from sqdepth.report import build_analysis_report; [pathlib.Path('tests/golden/analyze', f.stem + '.json').write_text(json.dumps(build_analysis_report(load_ideal(f)[0]), sort_keys=True, indent=2) + '\\n') for f in (pathlib.Path(sqdepth.__file__).parent / 'corpus').glob('*.ideal')]"
     """
     golden = Path(__file__).parent / "golden" / "analyze" / f"{path.stem}.json"
-    report = build_analysis_report(load_ideal(path)[0])
-    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
-
-
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ideal")), ids=lambda p: p.stem)
-def test_paranoid_analysis_report_matches_golden(path):
-    """The paranoid concentration check passes on every corpus file (all have
-    n <= 6) and leaves the analysis report byte-identical to its golden file."""
-    golden = Path(__file__).parent / "golden" / "analyze" / f"{path.stem}.json"
-    report = build_analysis_report(load_ideal(path)[0], paranoid=True)
+    report = build_analysis_report(load_ideal(path)[0], paranoid=paranoid)
     assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
 
 

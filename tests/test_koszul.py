@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import re
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,7 @@ from sqdepth.koszul import (
     depth_profile,
 )
 from sqdepth.lab import enumerate_all_pairs
-from sqdepth.monomial import IdealPair, Monomial, build_poset, masks_contain
+from sqdepth.monomial import IdealPair, Monomial, difference_masks, masks_contain, poset_masks
 
 from oracles import full_koszul_depth
 
@@ -57,7 +58,7 @@ def test_check_complex_rejects_one_flipped_sign():
 def test_check_complex_checks_every_entry():
     # The full Koszul complex on four variables: flipping any single nonzero
     # entry breaks d d = 0, and the error names a nonzero entry of the product.
-    bases, boundaries = _strand_spaces(build_poset(pair(4, [[]])).index, 0b1111)
+    bases, boundaries = _strand_spaces(poset_masks(pair(4, [[]])), 0b1111)
     _check_complex(bases, boundaries)
     for i in range(1, len(boundaries)):
         for r, row in enumerate(boundaries[i]):
@@ -104,16 +105,36 @@ def generator_scan_bases(p, sigma, squared):
 
 
 def test_strand_bases_match_generator_scan():
-    # The poset lookup gives the same bases, in the same order, as the
+    # The mask lookup gives the same bases, in the same order, as the
     # generator scan it replaced: every sigma of every pair with n <= 4,
-    # squarefree and with one squared variable.
+    # squarefree and with one squared variable, reading all of I \ J (the
+    # paranoid check) or only its masks under sigma (build_strand).
     for n in (1, 2, 3, 4):
         for p in enumerate_all_pairs(n):
-            members = build_poset(p).index
+            everything = poset_masks(p)
             for sigma in range(1 << n):
+                under = difference_masks(p, (sigma,))
                 for squared in [0] + [1 << v for v in range(n) if sigma >> v & 1]:
-                    bases, _ = _strand_spaces(members, sigma, squared)
-                    assert bases == generator_scan_bases(p, sigma, squared), (p, sigma, squared)
+                    expected = generator_scan_bases(p, sigma, squared)
+                    for members in (everything, under):
+                        bases, _ = _strand_spaces(members, sigma, squared)
+                        assert bases == expected, (p, sigma, squared)
+
+
+def test_depth_reads_only_masks_under_the_lcm_lattices():
+    # A principal I in 20 variables has 2^19 masks; the depth scan and a
+    # single strand must read only the few under the generators' lcms.
+    tracemalloc.start()
+    try:
+        result = depth_profile(pair(20, [[1]]))
+        sparse = pair(20, [[1, 2]], [[1, 2, 3]])
+        assert build_strand(sparse, mono(20, 1, 2, 3)).homology == (0, 1, 0, 0)
+        assert {c: r.depth for c, r in depth_profile(sparse).items()} == {0: 19, 2: 19, 3: 19}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {c: r.depth for c, r in result.items()} == {0: 20, 2: 20, 3: 20}
+    assert peak < 1 << 20
 
 
 def test_strand_principal_generator():

@@ -12,6 +12,7 @@ from sqdepth.monomial import (
     PosetEmpty,
     ValidationError,
     build_poset,
+    difference_masks,
     extend_pair,
     ideal_masks,
     intersect_masks,
@@ -218,9 +219,15 @@ def test_poset_masks_against_subset_scan():
         }
         assert poset_masks(p) == brute
         ideal = {m for m in range(1 << p.n) if masks_contain(p.i_masks, m)}
-        assert ideal_masks(p.n, p.i_masks) == ideal
+        assert ideal_masks((1 << p.n) - 1, p.i_masks) == ideal
         assert poset_masks(IdealPair.from_masks(p.n, p.i_masks, ())) == ideal
-    assert ideal_masks(4, ()) == set()
+        for ring in range(1 << p.n):
+            under = {m for m in brute if m & ring == m}
+            assert ideal_masks(ring, p.i_masks) == {m for m in ideal if m & ring == m}
+            assert difference_masks(p, (ring,)) == under
+            assert difference_masks(p, (ring, 0b101)) == under | {m for m in brute if m & 0b101 == m}
+    assert ideal_masks(0b1111, ()) == set()
+    assert difference_masks(cases[0], ()) == set()
 
 
 def test_poset_layer_order_is_canonical():
