@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 
-from .monomial import IdealPair
+from .monomial import IdealPair, mask_variables
 
 
 class ParseError(ValueError):
@@ -132,8 +132,8 @@ def pair_to_text(pair: IdealPair) -> str:
 def pair_to_dict(pair: IdealPair) -> dict:
     return {
         "n": pair.n,
-        "I": [list(g.variables) for g in pair.gens_i],
-        "J": [list(g.variables) for g in pair.gens_j],
+        "I": [list(mask_variables(m)) for m in pair.i_masks],
+        "J": [list(mask_variables(m)) for m in pair.j_masks],
     }
 
 

@@ -75,52 +75,36 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _perm_tables(n: int) -> list[list[int]]:
-    """One mask -> permuted-mask lookup table per permutation of n variables."""
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        tables.append([permute_mask(m, perm) for m in range(1 << n)])
-    return tables
+    """Per permutation of n variables, the ``mask_key`` of each mask's image.
+
+    The first table is the identity permutation's.
+    """
+    return [
+        [mask_key(permute_mask(m, perm)) for m in range(1 << n)]
+        for perm in itertools.permutations(range(n))
+    ]
 
 
-@functools.lru_cache(maxsize=8)
-def _mask_ranks(n: int) -> list[int]:
-    """Rank of each mask in the canonical (degree, variables) order."""
-    ranks = [0] * (1 << n)
-    for i, m in enumerate(sorted(range(1 << n), key=mask_key)):
-        ranks[m] = i
-    return ranks
-
-
-def _rank_key(masks, table, ranks):
-    return tuple(sorted(ranks[table[m]] for m in masks))
+def _rank_key(masks, table):
+    return tuple(sorted(table[m] for m in masks))
 
 
 def canonical_key(pair: IdealPair):
-    """Minimal (sorted I ranks, sorted J ranks) over all variable permutations.
+    """Minimal (sorted I keys, sorted J keys) over all variable permutations.
 
-    Ranks follow the canonical monomial order, so comparing rank tuples is
-    the same as comparing sorted generator lists lexicographically.
+    Comparing sorted key tuples is the same as comparing sorted generator
+    lists lexicographically in the canonical monomial order.
     """
-    ranks = _mask_ranks(pair.n)
-    best = None
-    for table in _perm_tables(pair.n):
-        key = (
-            _rank_key(pair.i_masks, table, ranks),
-            _rank_key(pair.j_masks, table, ranks),
-        )
-        if best is None or key < best:
-            best = key
-    return best
+    return min(
+        (_rank_key(pair.i_masks, table), _rank_key(pair.j_masks, table))
+        for table in _perm_tables(pair.n)
+    )
 
 
 def is_canonical(pair: IdealPair) -> bool:
     """True when the pair's own key is minimal in its permutation orbit."""
-    ranks = _mask_ranks(pair.n)
-    ident = list(range(1 << pair.n))
-    own = (
-        _rank_key(pair.i_masks, ident, ranks),
-        _rank_key(pair.j_masks, ident, ranks),
-    )
+    ident = _perm_tables(pair.n)[0]
+    own = (_rank_key(pair.i_masks, ident), _rank_key(pair.j_masks, ident))
     return own == canonical_key(pair)
 
 
@@ -159,11 +143,8 @@ class InstanceFamily:
 
 def degree_masks(n: int, deg: int) -> list[int]:
     """All squarefree masks of the given degree, canonical order."""
-    out = [
-        sum(1 << (v - 1) for v in combo)
-        for combo in itertools.combinations(range(1, n + 1), deg)
-    ]
-    return sorted(out, key=mask_key)
+    # combinations of increasing variables come out in lex order
+    return [sum(1 << v for v in combo) for combo in itertools.combinations(range(n), deg)]
 
 
 def _antichains(elements: list[int]):
@@ -217,19 +198,18 @@ def _pairs(n: int, i_choices, j_choices, symmetry: bool):
     ``is_canonical`` accepts.
     """
     tables = _perm_tables(n) if symmetry else None
-    ranks = _mask_ranks(n) if symmetry else None
     for gens in i_choices:
         gens = tuple(gens)
         if symmetry:
-            keys = [(_rank_key(gens, t, ranks), t) for t in tables]
+            keys = [(_rank_key(gens, t), t) for t in tables]
             best = min(k for k, _ in keys)
             if keys[0][0] != best:
                 continue
             achievers = [t for k, t in keys if k == best]
         for js in j_choices(gens):
             if symmetry:
-                own = _rank_key(js, tables[0], ranks)
-                if any(_rank_key(js, t, ranks) < own for t in achievers):
+                own = _rank_key(js, tables[0])
+                if any(_rank_key(js, t) < own for t in achievers):
                     continue
             yield IdealPair.from_masks(n, gens, tuple(js))
 
@@ -348,15 +328,14 @@ def step_shape(inst: IdealPair) -> str:
     "few" = two or three degree-d generators and nothing else.
     Raises HypothesisMismatch for any other shape.
     """
-    k = len(inst.degree_d_gens())
-    extras = inst.extra_gens()
-    if k == 1 and all(g.degree == inst.d + 1 for g in extras):
+    k = len(inst.degree_d_masks())
+    extras = inst.extra_masks()
+    if k == 1 and all(m.bit_count() == inst.d + 1 for m in extras):
         return "single"
     if k in (2, 3) and not extras:
         return "few"
-    raise HypothesisMismatch(
-        f"{k} degree-{inst.d} generators with extras {[str(g) for g in extras]}"
-    )
+    names = [str(Monomial(m, inst.n)) for m in extras]
+    raise HypothesisMismatch(f"{k} degree-{inst.d} generators with extras {names}")
 
 
 def _sdepth_bounds_depth(a: Analysis, t: int, **details) -> CheckResult:
@@ -452,7 +431,7 @@ def _q_pair_counts(pair: IdealPair, lcms) -> dict:
     c_masks = build_poset(pair).layer_masks(pair.d + 2)
     out = {}
     for ij, (w, _cls) in lcms.items():
-        out[ij] = sum(1 for c in c_masks if c & w.mask == w.mask)
+        out[ij] = sum(1 for c in c_masks if c & w == w)
     return out
 
 
@@ -463,16 +442,15 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
     Preconditions: exactly 2 or 3 generators, all of degree d, and every
     element of C is a multiple of some pairwise lcm; otherwise NotApplicable.
     """
-    gens = inst.degree_d_gens()
-    k = len(gens)
-    if k not in (2, 3) or inst.extra_gens():
+    k = len(inst.degree_d_masks())
+    if k not in (2, 3) or inst.extra_masks():
         raise NotApplicable(f"classifier needs 2 or 3 degree-d generators, got {k}")
     layers = build_poset(inst)
     s, q = layers.s, layers.q
     lcms = lcm_pairs(inst)
     if any(cls is LcmClass.EQUALS_GENERATOR for _, cls in lcms.values()):
         raise NotApplicable("some pairwise lcm equals a generator")
-    w_masks = [w.mask for w, _ in lcms.values()]
+    w_masks = [w for w, _ in lcms.values()]
     for c in layers.layer_masks(inst.d + 2):
         if not any(c & w == w for w in w_masks):
             raise NotApplicable(f"C element {Monomial(c, inst.n)} avoids every pairwise lcm")
@@ -504,7 +482,7 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
     checks: list[BoundCheck] = []
 
     if n_b == 3:
-        masks = {w_of[ij].mask for ij in by_class[LcmClass.IN_B]}
+        masks = {w_of[ij] for ij in by_class[LcmClass.IN_B]}
         if len(masks) == 1:
             label = "k3-all-B-equal"
             checks.append(_ge("s >= 3q+1", s, 3 * q + 1))
@@ -539,7 +517,7 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
         others = [ij for ij in lcms if ij != b_ij]
         other_classes = sorted(lcms[ij][1].value for ij in others)
         if all(lcms[ij][1] is LcmClass.IN_C for ij in others):
-            if w_of[others[0]].mask == w_of[others[1]].mask:
+            if w_of[others[0]] == w_of[others[1]]:
                 label = "k3-one-B-two-C-equal"
                 checks.append(_eq("q = q_B", q, qb))
                 checks.append(_ge("s >= 2q+1", s, 2 * q + 1))
@@ -560,7 +538,7 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
             checks.append(_eq("q = q_B", q, qb))
             checks.append(_ge("s >= 2q+1", s, 2 * q + 1))
     else:
-        c_masks = {w_of[ij].mask for ij in by_class.get(LcmClass.IN_C, ())}
+        c_masks = {w_of[ij] for ij in by_class.get(LcmClass.IN_C, ())}
         if n_c == 3:
             if len(c_masks) == 3:
                 label = "k3-all-C-distinct"
@@ -753,7 +731,7 @@ def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
     InvariantError.
     """
     layers = build_poset(inst)
-    rest = [m for m in layers.b_layer if m.mask != b.mask]
+    rest = [Monomial(m, inst.n) for m in layers.layer_masks(inst.d + 1) if m != b.mask]
     if not rest:
         return HMap(b, {})
     by_lo = {iv.lo.mask: iv for iv in part.intervals}
@@ -764,7 +742,7 @@ def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
             raise NotNormalized(f"{bp} does not head an interval")
         if iv.hi.degree != inst.d + 2:
             raise NotNormalized(f"interval at {bp} ends at degree {iv.hi.degree}")
-        if not inst.contains(iv.hi):
+        if iv.hi.mask not in layers.index:
             raise InvariantError(f"interval top {iv.hi} leaves the original module")
         assignments[bp] = iv.hi
     image = {c.mask for c in assignments.values()}

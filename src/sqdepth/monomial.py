@@ -3,9 +3,10 @@
 A squarefree monomial in variables x1..xn is stored as an integer bit mask
 (bit i set = variable x_{i+1} present). Divisibility is mask inclusion, lcm
 is bitwise or, degree is the popcount. Everything downstream (the Stanley
-depth solver, the Koszul strands, the layer criteria) consumes the canonical
-order produced here: by degree, then lexicographically on the sorted list of
-variable indices.
+depth solver, the Koszul strands, the layer criteria) takes and returns
+masks, in the canonical order stated once here as the integer ``mask_key``:
+by degree, then lexicographically on the sorted list of variable indices.
+``Monomial`` objects are built only for certificates, witnesses and text.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 MAX_VARS = 24
+_HALF = MAX_VARS // 2
+_FULL = (1 << MAX_VARS) - 1
+# _REVERSED[b] is the _HALF-bit mask b with its bit order reversed
+_REVERSED = [0] * (1 << _HALF)
+for _b in range(1, 1 << _HALF):
+    _REVERSED[_b] = _REVERSED[_b >> 1] >> 1 | (_b & 1) << (_HALF - 1)
 
 
 class ValidationError(ValueError):
@@ -31,10 +38,6 @@ class InvariantError(AssertionError):
     """A proved invariant failed: a bug, raised even under ``python -O``."""
 
 
-def mask_degree(mask: int) -> int:
-    return mask.bit_count()
-
-
 def mask_variables(mask: int) -> tuple[int, ...]:
     """1-based variable indices of a mask, ascending."""
     out = []
@@ -47,9 +50,16 @@ def mask_variables(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key: degree first, then lex on variable indices."""
-    return (mask.bit_count(), mask_variables(mask))
+def mask_key(mask: int) -> int:
+    """Canonical sort key: degree first, then lex on variable indices.
+
+    Within a degree, the mask holding the least variable where two masks
+    differ comes first; with the bit order reversed that variable is the
+    highest differing bit, so the complement of the reversal sorts the same
+    way as the variable lists.
+    """
+    reversed_mask = _REVERSED[mask & (1 << _HALF) - 1] << _HALF | _REVERSED[mask >> _HALF]
+    return mask.bit_count() << MAX_VARS | _FULL ^ reversed_mask
 
 
 def submasks(free: int) -> Iterator[int]:
@@ -97,10 +107,7 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return self.mask & other.mask == self.mask
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.mask | other.mask, max(self.n, other.n))
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+    def sort_key(self) -> int:
         return mask_key(self.mask)
 
     def __lt__(self, other: "Monomial") -> bool:
@@ -120,14 +127,6 @@ def minimalize_masks(masks) -> tuple[int, ...]:
         if not any(g & m == g for g in kept):
             kept.append(m)
     return tuple(kept)
-
-
-def minimalize(gens) -> tuple[Monomial, ...]:
-    gens = tuple(gens)
-    if not gens:
-        return ()
-    n = max(g.n for g in gens)
-    return tuple(Monomial(m, n) for m in minimalize_masks(g.mask for g in gens))
 
 
 def masks_contain(gen_masks, mask: int) -> bool:
@@ -190,16 +189,12 @@ class IdealPair:
     def gens_j(self) -> tuple[Monomial, ...]:
         return tuple(Monomial(m, self.n) for m in self.j_masks)
 
-    def degree_d_gens(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(m, self.n) for m in self.i_masks if m.bit_count() == self.d)
+    def degree_d_masks(self) -> tuple[int, ...]:
+        return tuple(m for m in self.i_masks if m.bit_count() == self.d)
 
-    def extra_gens(self) -> tuple[Monomial, ...]:
+    def extra_masks(self) -> tuple[int, ...]:
         """Generators of I of degree > d (the set E)."""
-        return tuple(Monomial(m, self.n) for m in self.i_masks if m.bit_count() > self.d)
-
-    def contains(self, mono: Monomial) -> bool:
-        """Membership in the difference I \\ J."""
-        return masks_contain(self.i_masks, mono.mask) and not masks_contain(self.j_masks, mono.mask)
+        return tuple(m for m in self.i_masks if m.bit_count() > self.d)
 
 
 @dataclass(frozen=True)
@@ -247,17 +242,6 @@ class PosetLayers:
             return self.elems[self.start[degree]:self.start[degree + 1]]
         return ()
 
-    def layer(self, degree: int) -> tuple[Monomial, ...]:
-        return tuple(Monomial(m, self.pair.n) for m in self.layer_masks(degree))
-
-    @property
-    def b_layer(self) -> tuple[Monomial, ...]:
-        return self.layer(self.d + 1)
-
-    @property
-    def c_layer(self) -> tuple[Monomial, ...]:
-        return self.layer(self.d + 2)
-
     @property
     def r(self) -> int:
         return self.rho[self.d]
@@ -269,9 +253,6 @@ class PosetLayers:
     @property
     def q(self) -> int:
         return self.rho[self.d + 2] if self.d + 2 < len(self.rho) else 0
-
-    def elements(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(m, self.pair.n) for m in self.elems)
 
 
 def ideal_masks(ring: int, gen_masks) -> set[int]:
@@ -319,26 +300,26 @@ class LcmClass(Enum):
     EQUALS_GENERATOR = "generator"
 
 
-def lcm_pairs(pair: IdealPair) -> dict[tuple[int, int], tuple[Monomial, LcmClass]]:
-    """Classify lcm(f_i, f_j) for the degree-d generators f_1 < f_2 < ... of I.
+def lcm_pairs(pair: IdealPair) -> dict[tuple[int, int], tuple[int, LcmClass]]:
+    """Classify lcm(f_i, f_j), as a mask, for the degree-d generators f_1 < f_2 < ... of I.
 
     Keys are 1-based (i, j) with i < j, indexing the canonically sorted
     degree-d generators. The EQUALS_GENERATOR class can only appear for
     non-minimal generator sets, which a validated pair never has.
     """
-    gens = pair.degree_d_gens()
+    gens = pair.degree_d_masks()
     d = pair.d
     jm = pair.j_masks
-    out: dict[tuple[int, int], tuple[Monomial, LcmClass]] = {}
+    out: dict[tuple[int, int], tuple[int, LcmClass]] = {}
     for a, b in itertools.combinations(range(len(gens)), 2):
-        w = gens[a].lcm(gens[b])
-        if w.mask in (gens[a].mask, gens[b].mask):
+        w = gens[a] | gens[b]
+        if w in (gens[a], gens[b]):
             cls = LcmClass.EQUALS_GENERATOR
-        elif masks_contain(jm, w.mask):
+        elif masks_contain(jm, w):
             cls = LcmClass.IN_J
-        elif w.degree == d + 1:
+        elif w.bit_count() == d + 1:
             cls = LcmClass.IN_B
-        elif w.degree == d + 2:
+        elif w.bit_count() == d + 2:
             cls = LcmClass.IN_C
         else:
             cls = LcmClass.DEG_TOO_BIG

@@ -386,8 +386,8 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
     more degree-d elements than the union of their B-multiples can absorb.
     """
     poset = build_poset(pair)
-    left = poset.layer(pair.d)
-    right = poset.b_layer
+    left = [Monomial(m, pair.n) for m in poset.layer_masks(pair.d)]
+    right = [Monomial(m, pair.n) for m in poset.layer_masks(pair.d + 1)]
     adjacency = list(poset.up[poset.start[pair.d]:poset.start[pair.d + 1]])
     matching = hopcroft_karp(adjacency, len(right))
     if len(matching) == len(left):

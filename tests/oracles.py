@@ -1,10 +1,11 @@
 """Independent oracles for cross-checking the engines.
 
-Nothing here imports solver internals: the sdepth oracle enumerates interval
-partitions directly over a covered-set bitmask, the depth oracle assembles
-the one big squarefree Koszul complex (no strand decomposition) and row
-reduces it with its own elimination code, and the matching oracle tries
-every assignment recursively.
+Nothing here imports solver internals: I \\ J is found by scanning every
+mask, the sdepth oracle enumerates interval partitions directly over a
+covered-set bitmask, the depth oracle assembles the one big squarefree
+Koszul complex (no strand decomposition) and row reduces it with its own
+elimination code, and the matching oracle tries every assignment
+recursively.
 """
 
 from __future__ import annotations
@@ -12,18 +13,31 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from sqdepth import IdealPair, build_poset
+from sqdepth import IdealPair
+
+
+def difference_members(pair: IdealPair) -> list[int]:
+    """The masks of I \\ J by a scan of all 2^n masks, ordered by degree and
+    then lexicographically on the variable list."""
+
+    def inside(gens, m):
+        return any(g & m == g for g in gens)
+
+    members = [
+        m for m in range(1 << pair.n) if inside(pair.i_masks, m) and not inside(pair.j_masks, m)
+    ]
+    variables = lambda m: [v for v in range(pair.n) if m >> v & 1]
+    return sorted(members, key=lambda m: (len(variables(m)), variables(m)))
 
 
 # ---------------------------------------------------------------------------
 # naive sdepth: branch over every admissible interval for the first
 # uncovered element (which must head its own interval; any other head
-# dividing it would be earlier in canonical order and still uncovered)
+# dividing it would be earlier in degree-major order and still uncovered)
 
 
 def naive_sdepth(pair: IdealPair) -> int:
-    layers = build_poset(pair)
-    elems = [m.mask for m in layers.elements()]
+    elems = difference_members(pair)
     index = {m: i for i, m in enumerate(elems)}
     degree = [m.bit_count() for m in elems]
     n_elems = len(elems)
@@ -52,7 +66,7 @@ def naive_sdepth(pair: IdealPair) -> int:
         cached = memo.get(covered)
         if cached is not None:
             return cached
-        # lowest uncovered index in canonical order
+        # lowest uncovered index in degree-major order
         first = (covered + 1 & ~covered).bit_length() - 1
         m = elems[first]
         out = -1
@@ -132,8 +146,7 @@ def full_koszul_homology(pair: IdealPair, char: int) -> list[int]:
     no strand splitting.
     """
     n = pair.n
-    layers = build_poset(pair)
-    members = {m.mask for m in layers.elements()}
+    members = set(difference_members(pair))
     subsets = [tuple(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
     basis: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
     for tau in subsets:

@@ -33,7 +33,7 @@ from sqdepth.lab import (
     step_statement,
     HypothesisMismatch,
 )
-from sqdepth.monomial import IdealPair, ValidationError, build_poset
+from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, masks_contain
 from sqdepth.partition import sdepth_decision, sdepth_exact, verify_partition
 
 CHARS = (0, 2, 3)
@@ -227,11 +227,12 @@ def test_criterion_6_normalized_partitions_induce_injections():
         layers = build_poset(inst)
         s, q = layers.s, layers.q
         seen = set()
-        for f in inst.degree_d_gens():
-            for b in layers.b_layer:
-                if b.mask | f.mask != b.mask or b.mask in seen:
+        for f in inst.degree_d_masks():
+            for m in layers.layer_masks(inst.d + 1):
+                if m | f != m or m in seen:
                     continue
-                seen.add(b.mask)
+                seen.add(m)
+                b = Monomial(m, inst.n)
                 h = h_map_via_solver(inst, b)
                 if s - 1 > q:
                     assert h is None, f"{inst}: pigeonhole breached at b={b}"
@@ -246,7 +247,8 @@ def test_criterion_6_normalized_partitions_induce_injections():
                 assert len(image) <= q
                 for c in image:
                     assert c.degree == inst.d + 2
-                    assert inst.contains(c)
+                    assert masks_contain(inst.i_masks, c.mask)
+                    assert not masks_contain(inst.j_masks, c.mask)
     elapsed = time.monotonic() - t0
     assert solved > 1000
     assert pigeonholed > 100

@@ -244,8 +244,9 @@ def test_step_shape():
     assert step_shape(pair(3, [[1, 2]], [[1, 2, 3]])) == "single"
     with pytest.raises(HypothesisMismatch):
         step_shape(pair(4, [[1], [2], [3], [4]]))
-    with pytest.raises(HypothesisMismatch):
+    with pytest.raises(HypothesisMismatch) as err:
         step_shape(pair(4, [[1], [2, 3, 4]]))
+    assert str(err.value) == "1 degree-1 generators with extras ['x2*x3*x4']"
     with pytest.raises(HypothesisMismatch):
         step_shape(pair(4, [[1], [2], [3, 4]]))
 
@@ -352,7 +353,7 @@ def test_truncation_pair():
 
     tp2 = truncation_pair(4, (0b0001, 0b0010), (0b0111,))
     layers = build_poset(tp2)
-    assert layers.c_layer == (mono(4, 1, 2, 3),)
+    assert layers.layer_masks(3) == (0b0111,)
     assert classify_lcm_configuration(tp2).q == 1
 
 
@@ -390,15 +391,15 @@ def test_h_map_solver_on_principal_ideal():
 def test_h_map_solver_pigeonhole_blocks():
     layers = build_poset(M3)
     assert (layers.s, layers.q) == (3, 1)
-    for b in layers.b_layer:
-        assert h_map_via_solver(M3, b) is None
+    for m in layers.layer_masks(M3.d + 1):
+        assert h_map_via_solver(M3, Monomial(m, M3.n)) is None
 
 
 def test_h_map_image_bound_on_generated_instances():
     for inst in configuration_instances("k2-lcm-in-B", 5):
         layers = build_poset(inst)
-        for b in layers.b_layer:
-            h = h_map_via_solver(inst, b)
+        for m in layers.layer_masks(inst.d + 1):
+            h = h_map_via_solver(inst, Monomial(m, inst.n))
             if h is None:
                 assert layers.s - 1 > layers.q
                 continue

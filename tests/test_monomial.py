@@ -1,6 +1,7 @@
 """Monomial masks, ideal pair validation, poset layering, lcm classes."""
 
 import itertools
+import random
 
 import pytest
 
@@ -17,11 +18,9 @@ from sqdepth.monomial import (
     ideal_masks,
     intersect_masks,
     lcm_pairs,
-    mask_degree,
     mask_key,
     mask_variables,
     masks_contain,
-    minimalize,
     minimalize_masks,
     poset_masks,
     subquotient_pair,
@@ -42,11 +41,14 @@ def pair(n, gens_i, gens_j=()):
 
 
 def test_mask_helpers():
-    assert mask_degree(0) == 0
-    assert mask_degree(0b1011) == 3
     assert mask_variables(0) == ()
     assert mask_variables(0b101) == (1, 3)
-    assert mask_key(0b101) == (2, (1, 3))
+    # the integer key orders and separates masks exactly like (degree, variables)
+    rng = random.Random(20261019)
+    masks = {*range(1 << 12), 0, (1 << 24) - 1, *(rng.getrandbits(24) for _ in range(200_000))}
+    by_key = sorted(masks, key=mask_key)
+    assert by_key == sorted(masks, key=lambda m: (m.bit_count(), mask_variables(m)))
+    assert len({mask_key(m) for m in masks}) == len(masks)
 
 
 def test_canonical_mask_order():
@@ -73,7 +75,6 @@ def test_monomial_divides_and_lcm():
     b = mono(4, 1, 2, 3)
     assert a.divides(b)
     assert not b.divides(a)
-    assert a.lcm(mono(4, 2)).mask == 0b111
     assert Monomial(0, 4).divides(a)
 
 
@@ -105,12 +106,8 @@ def test_minimalize_masks():
     assert minimalize_masks([]) == ()
     # unit mask swallows everything
     assert minimalize_masks([0b10, 0, 0b111]) == (0,)
-
-
-def test_minimalize_monomials():
-    gens = [mono(3, 1), mono(3, 1, 2), mono(3, 2, 3)]
-    assert minimalize(gens) == (mono(3, 1), mono(3, 2, 3))
-    assert minimalize([]) == ()
+    # output in canonical order, whatever the input order
+    assert minimalize_masks([0b110, 0b11, 0b1]) == (0b1, 0b110)
 
 
 def test_masks_contain():
@@ -161,16 +158,16 @@ def test_pair_validation_errors():
 def test_pair_generator_split():
     p = pair(4, [[1], [2, 3], [2, 4]])
     assert p.d == 1
-    assert p.degree_d_gens() == (mono(4, 1),)
-    assert p.extra_gens() == (mono(4, 2, 3), mono(4, 2, 4))
+    assert p.degree_d_masks() == (0b1,)
+    assert p.extra_masks() == (0b110, 0b1010)
 
 
 def test_pair_contains():
-    p = pair(3, [[1], [2]], [[1, 2]])
-    assert p.contains(mono(3, 1))
-    assert p.contains(mono(3, 1, 3))
-    assert not p.contains(mono(3, 1, 2))
-    assert not p.contains(mono(3, 3))
+    members = poset_masks(pair(3, [[1], [2]], [[1, 2]]))
+    assert 0b1 in members
+    assert 0b101 in members
+    assert 0b11 not in members
+    assert 0b100 not in members
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +178,11 @@ def test_poset_maximal_ideal_three_vars():
     p = pair(3, [[1], [2], [3]])
     layers = build_poset(p)
     assert layers.rho == (0, 3, 3, 1)
-    assert layers.layer(1) == (mono(3, 1), mono(3, 2), mono(3, 3))
-    assert layers.b_layer == (mono(3, 1, 2), mono(3, 1, 3), mono(3, 2, 3))
-    assert layers.c_layer == (mono(3, 1, 2, 3),)
+    assert layers.layer_masks(1) == (0b1, 0b10, 0b100)
+    assert layers.layer_masks(2) == (0b11, 0b101, 0b110)
+    assert layers.layer_masks(3) == (0b111,)
     assert (layers.d, layers.r, layers.s, layers.q) == (1, 3, 3, 1)
-    assert len(layers.elements()) == 7
+    assert len(layers.elems) == 7
 
 
 def test_poset_split_pair():
@@ -200,8 +197,8 @@ def test_poset_quotient_layers():
     p = pair(3, [[1, 2]], [[1, 2, 3]])
     layers = build_poset(p)
     assert layers.rho == (0, 0, 1, 0)
-    assert layers.layer(2) == (mono(3, 1, 2),)
-    assert layers.layer(7) == ()
+    assert layers.layer_masks(2) == (0b11,)
+    assert layers.layer_masks(7) == ()
 
 
 def test_poset_masks_against_subset_scan():
@@ -234,7 +231,7 @@ def test_poset_layer_order_is_canonical():
     p = pair(4, [[2], [3], [4]], [[2, 3, 4]])
     layers = build_poset(p)
     for k in range(p.n + 1):
-        keys = [m.sort_key() for m in layers.layer(k)]
+        keys = [mask_key(m) for m in layers.layer_masks(k)]
         assert keys == sorted(keys)
 
 
@@ -260,7 +257,7 @@ def test_poset_table_against_brute_force():
                 covers = [m | 1 << v for v in range(n) if not m >> v & 1]
                 assert layers.up[i] == tuple(above.index(c) for c in covers if c in above)
             for k in range(n + 1):
-                assert layers.layer(k) == tuple(Monomial(m, n) for m in layers.layer_masks(k))
+                assert layers.layer_masks(k) == tuple(m for m in layers.elems if m.bit_count() == k)
             count += 1
     assert count == 5526
 
@@ -274,7 +271,7 @@ def test_lcm_pairs_in_b():
     out = lcm_pairs(p)
     assert set(out) == {(1, 2)}
     w, cls = out[(1, 2)]
-    assert w == mono(2, 1, 2)
+    assert w == 0b11
     assert cls is LcmClass.IN_B
 
 
@@ -286,7 +283,7 @@ def test_lcm_pairs_in_j():
 def test_lcm_pairs_in_c():
     p = pair(4, [[1, 2], [3, 4]])
     w, cls = lcm_pairs(p)[(1, 2)]
-    assert w.degree == 4
+    assert w == 0b1111
     assert cls is LcmClass.IN_C
 
 
@@ -299,8 +296,9 @@ def test_lcm_pairs_indexing_follows_canonical_gens():
     p = pair(3, [[1], [2], [3]])
     out = lcm_pairs(p)
     assert set(out) == {(1, 2), (1, 3), (2, 3)}
-    assert out[(1, 2)][0] == mono(3, 1, 2)
-    assert out[(2, 3)][0] == mono(3, 2, 3)
+    assert out[(1, 2)][0] == 0b11
+    assert out[(1, 3)][0] == 0b101
+    assert out[(2, 3)][0] == 0b110
     assert all(cls is LcmClass.IN_B for _, cls in out.values())
 
 

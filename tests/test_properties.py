@@ -141,7 +141,7 @@ def test_hall_failure_pins_sdepth_at_d(p):
         assert sdepth_exact(p).value == p.d
         assert check.deficient
     else:
-        assert len(check.matching) == len(p.degree_d_gens())
+        assert len(check.matching) == len(p.degree_d_masks())
 
 
 @given(ideal_pairs())
