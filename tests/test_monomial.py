@@ -110,6 +110,16 @@ def test_minimalize_masks():
     assert minimalize_masks([0b110, 0b11, 0b1]) == (0b1, 0b110)
 
 
+def test_minimalize_monomials():
+    # Monomial generators are minimalized through their masks and come back
+    # as Monomials in canonical order
+    gens = [mono(3, 1), mono(3, 1, 2), mono(3, 2, 3)]
+    kept = tuple(Monomial(m, 3) for m in minimalize_masks(g.mask for g in gens))
+    assert kept == (mono(3, 1), mono(3, 2, 3))
+    assert pair(3, [[1], [1, 2], [2, 3]]).gens_i == (mono(3, 1), mono(3, 2, 3))
+    assert minimalize_masks(g.mask for g in []) == ()
+
+
 def test_masks_contain():
     gens = (0b11, 0b100)
     assert masks_contain(gens, 0b111)
