@@ -9,6 +9,9 @@ One binary, six subcommands:
 * ``verify``   a statement check over an instance family, zero failures expected
 * ``hunt``     random search for counterexamples, findings are news
 
+Each subcommand takes only the flags it reads; ``--json`` and ``--timing``
+go before or after it, every other flag after it.
+
 Exit codes: 0 success, 1 verification failure found, 2 input error,
 3 search budget exhausted.  JSON output (``--json``) follows the shipped
 ``report_schema.json``; the text output is a pure rendering of that JSON.
@@ -31,11 +34,8 @@ from .report import (
     build_criteria_report,
     build_depth_report,
     build_sdepth_report,
-    render_analysis_text,
-    render_criteria_text,
-    render_depth_text,
     render_hunt_text,
-    render_sdepth_text,
+    render_text,
     wrap_hunt_report,
 )
 
@@ -51,8 +51,9 @@ PARANOID_HELP = (
 
 
 def _parse_chars(text: str) -> tuple[int, ...]:
+    """The characteristics in ``text``, each once, in first-seen order."""
     try:
-        chars = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        chars = tuple(dict.fromkeys(int(tok) for tok in text.replace(" ", "").split(",") if tok))
     except ValueError:
         raise ValueError(f"invalid characteristic list {text!r}") from None
     if not chars:
@@ -63,8 +64,6 @@ def _parse_chars(text: str) -> tuple[int, ...]:
 
 
 def _resolve_chars(args) -> tuple[int, ...]:
-    if getattr(args, "char", None):
-        return tuple(dict.fromkeys(args.char))
     if args.chars is not None:
         return _parse_chars(args.chars)
     env = os.environ.get(CHARS_ENV)
@@ -73,32 +72,44 @@ def _resolve_chars(args) -> tuple[int, ...]:
     return DEFAULT_CHARS
 
 
-_GLOBAL_FLAGS = (
-    (("--json",), {"action": "store_true", "help": "emit the JSON report instead of text"}),
-    (("--seed",), {"type": int, "help": "random seed for sampled families (default 0)"}),
-    (
-        ("--budget",),
-        {"type": int, "help": f"search node budget (default {DEFAULT_NODE_BUDGET})"},
-    ),
-    (
-        ("--chars",),
-        {"metavar": "LIST", "help": f"characteristics, e.g. 0,2,3 (default ${CHARS_ENV} or 0,2,3)"},
-    ),
-    (("--timing",), {"action": "store_true", "help": "fill elapsed_ms in reports"}),
-)
-
-_GLOBAL_DEFAULTS = {"json": False, "seed": 0, "budget": DEFAULT_NODE_BUDGET, "chars": None,
-                    "timing": False}
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    for names, kwargs in _GLOBAL_FLAGS:
-        dest = names[0].lstrip("-")
-        default = argparse.SUPPRESS if suppress else _GLOBAL_DEFAULTS[dest]
-        parser.add_argument(*names, default=default, **kwargs)
+def _add_output_flags(parser: argparse.ArgumentParser, default) -> None:
+    """``--json`` and ``--timing``: the root holds the defaults, and a subcommand
+    suppresses its own so that a flag given before it is kept."""
+    parser.add_argument(
+        "--json", action="store_true", default=default, help="emit the JSON report instead of text"
+    )
+    parser.add_argument(
+        "--timing", action="store_true", default=default, help="fill elapsed_ms in reports"
+    )
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET,
+        help=f"search node budget (default {DEFAULT_NODE_BUDGET})",
+    )
+
+
+def _add_chars(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--chars", metavar="LIST",
+        help=f"characteristics, e.g. 0,2,3 (default ${CHARS_ENV} or 0,2,3)",
+    )
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
+    _add_budget(parser)
+    _add_chars(parser)
+    parser.add_argument(
+        "--seed", type=int, default=0, help="random seed for sampled families (default 0)"
+    )
     parser.add_argument("--n", type=int, required=True, help="ambient variable count")
     parser.add_argument("--d", type=int, default=1, help="generator degree d (default 1)")
     parser.add_argument("--k", type=int, default=2, help="number of degree-d generators (default 2)")
@@ -111,7 +122,8 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
         "--exhaustive", action="store_true", help="enumerate every J (default for n <= 4)"
     )
     group.add_argument(
-        "--samples", type=int, metavar="M", help="sample M random instances (default for n >= 5)"
+        "--samples", type=_positive_int, metavar="M",
+        help="sample M >= 1 random instances (default for n >= 5)",
     )
     parser.add_argument(
         "--symmetry", action="store_true",
@@ -125,43 +137,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Stanley depth, Koszul depth, and statement checks "
         "for squarefree monomial quotients I/J.",
     )
-    _add_global_flags(root, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    _add_output_flags(root, default=False)
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sdepth", parents=[common], help="exact Stanley depth with certificate")
-    p.add_argument("file", help="ideal pair file (text or JSON)")
+    def command(name: str, help: str, file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_output_flags(p, default=argparse.SUPPRESS)
+        if file:
+            p.add_argument("file", help="ideal pair file (text or JSON)")
+        return p
+
+    p = command("sdepth", "exact Stanley depth with certificate")
+    _add_budget(p)
     p.add_argument("--target", type=int, help="decide a single target instead of optimizing")
     p.add_argument("--certificate", action="store_true", help="print the interval partition")
 
-    p = sub.add_parser("depth", parents=[common], help="depth via Koszul homology")
-    p.add_argument("file", help="ideal pair file (text or JSON)")
-    p.add_argument(
-        "--char", type=int, action="append", metavar="P",
-        help="single characteristic (repeatable; overrides --chars)",
-    )
+    p = command("depth", "depth via Koszul homology")
+    _add_chars(p)
     p.add_argument("--paranoid", action="store_true", help=PARANOID_HELP)
     p.add_argument("--witness", action="store_true", help="print homology witnesses")
 
-    p = sub.add_parser("criteria", parents=[common], help="numeric depth upper-bound tests")
-    p.add_argument("file", help="ideal pair file (text or JSON)")
+    command("criteria", "numeric depth upper-bound tests")
 
-    p = sub.add_parser("analyze", parents=[common], help="run every engine on one instance")
-    p.add_argument("file", help="ideal pair file (text or JSON)")
+    p = command("analyze", "run every engine on one instance")
+    _add_budget(p)
+    _add_chars(p)
     p.add_argument("--paranoid", action="store_true", help=PARANOID_HELP)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="check a statement over a family; failures are bugs"
-    )
+    p = command("verify", "check a statement over a family; failures are bugs", file=False)
     p.add_argument("statement", choices=STATEMENTS, help="which statement to check")
     _add_family_flags(p)
 
-    p = sub.add_parser(
-        "hunt", parents=[common], help="search a family for counterexamples; findings are news"
-    )
+    p = command("hunt", "search a family for counterexamples; findings are news", file=False)
     p.add_argument(
-        "--check", choices=STATEMENTS, default="step-open",
+        "--check", dest="statement", choices=STATEMENTS, default="step-open",
         help="statement to hunt against (default step-open)",
     )
     _add_family_flags(p)
@@ -176,100 +185,58 @@ def _emit(args, report: dict, render) -> None:
         print(render(report), end="")
 
 
-def _sdepth_exit(report: dict) -> int:
-    return EXIT_BUDGET if "error" in report["sdepth"] else EXIT_OK
-
-
-def _cmd_sdepth(args) -> int:
-    pair, warnings = load_ideal(args.file)
-    _warn(warnings)
-    report = build_sdepth_report(
+_REPORTS = {
+    "sdepth": lambda pair, args: build_sdepth_report(
         pair, target=args.target, budget=args.budget, timing=args.timing
-    )
-    _emit(args, report, lambda r: render_sdepth_text(r, certificate=args.certificate))
-    return _sdepth_exit(report)
-
-
-def _cmd_depth(args) -> int:
-    pair, warnings = load_ideal(args.file)
-    _warn(warnings)
-    report = build_depth_report(
+    ),
+    "depth": lambda pair, args: build_depth_report(
         pair, chars=_resolve_chars(args), paranoid=args.paranoid, timing=args.timing
-    )
-    _emit(args, report, lambda r: render_depth_text(r, witness=args.witness))
-    return EXIT_OK
-
-
-def _cmd_criteria(args) -> int:
-    pair, warnings = load_ideal(args.file)
-    _warn(warnings)
-    report = build_criteria_report(pair, timing=args.timing)
-    _emit(args, report, render_criteria_text)
-    return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    pair, warnings = load_ideal(args.file)
-    _warn(warnings)
-    report = build_analysis_report(
+    ),
+    "criteria": lambda pair, args: build_criteria_report(pair, timing=args.timing),
+    "analyze": lambda pair, args: build_analysis_report(
         pair,
         chars=_resolve_chars(args),
         budget=args.budget,
         paranoid=args.paranoid,
         timing=args.timing,
-    )
-    _emit(args, report, render_analysis_text)
-    if "error" in report["sdepth"]:
+    ),
+}
+
+
+def _cmd_instance(args) -> int:
+    """One instance, one report; the exit code is read off the report."""
+    pair, warnings = load_ideal(args.file)
+    _warn(warnings)
+    report = _REPORTS[args.command](pair, args)
+    # analyze has neither flag and always renders the certificate and the witnesses
+    _emit(args, report, lambda r: render_text(
+        r, certificate=getattr(args, "certificate", True), witness=getattr(args, "witness", True)
+    ))
+    if "error" in report.get("sdepth", {}):
         return EXIT_BUDGET
-    theorems = report["theorems"]
-    if any(theorems[name]["status"] == "fail" for name in ("floor", "step")):
+    if any(slot["status"] == "fail" for slot in report.get("theorems", {}).values()):
         return EXIT_FAILURES
     return EXIT_OK
 
 
-def _run_family_check(args, check: str) -> int:
-    if args.samples is not None:
-        policy, limit = "random", args.samples
-    elif args.exhaustive:
-        policy, limit = "exhaustive", None
-    elif args.n <= 4:
-        policy, limit = "exhaustive", None
-    else:
-        policy, limit = "random", 1000
+def _cmd_family(args) -> int:
+    sampled = args.samples is not None or (not args.exhaustive and args.n > 4)
     fam = InstanceFamily(
         n=args.n,
         d=args.d,
         k=args.k,
         with_e=args.with_e,
-        j_policy=policy,
+        j_policy="random" if sampled else "exhaustive",
         symmetry_reduction=args.symmetry,
     )
     fields = tuple(FieldSpec(c) for c in _resolve_chars(args))
     hunt = hunt_counterexamples(
-        fam, check, fields=fields, limit=limit, seed=args.seed, timing=args.timing,
-        budget=args.budget,
+        fam, args.statement, fields=fields, limit=args.samples, seed=args.seed,
+        timing=args.timing, budget=args.budget,
     )
     report = wrap_hunt_report(hunt)
     _emit(args, report, render_hunt_text)
     return EXIT_FAILURES if report["counts"]["fail"] else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    return _run_family_check(args, args.statement)
-
-
-def _cmd_hunt(args) -> int:
-    return _run_family_check(args, args.check)
-
-
-_COMMANDS = {
-    "sdepth": _cmd_sdepth,
-    "depth": _cmd_depth,
-    "criteria": _cmd_criteria,
-    "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "hunt": _cmd_hunt,
-}
 
 
 def _warn(warnings: list[str]) -> None:
@@ -279,8 +246,9 @@ def _warn(warnings: list[str]) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = _cmd_instance if args.command in _REPORTS else _cmd_family
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

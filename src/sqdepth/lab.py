@@ -246,7 +246,7 @@ def sample_instances(fam: InstanceFamily, count: int, seed: int):
     highs = degree_masks(fam.n, fam.d + 1) if fam.with_e else []
     produced = 0
     while produced < count:
-        gens = tuple(sorted(rng.sample(low, fam.k), key=mask_key))
+        gens = tuple(rng.sample(low, fam.k))
         free_highs = [h for h in highs if all(h & f != f for f in gens)]
         if fam.with_e and free_highs:
             extra = tuple(h for h in free_highs if rng.random() < 0.5)
@@ -256,7 +256,7 @@ def sample_instances(fam: InstanceFamily, count: int, seed: int):
         else:
             elements = _poset_above(fam.n, gens)
             picked = [m for m in elements if rng.random() < 0.3]
-            js = tuple(sorted(minimalize_masks(picked), key=mask_key))
+            js = minimalize_masks(picked)
             if any(masks_contain(js, g) for g in gens):
                 continue
         yield IdealPair.from_masks(fam.n, gens, js)
@@ -448,8 +448,6 @@ def classify_lcm_configuration(inst: IdealPair) -> LcmConfiguration:
     layers = build_poset(inst)
     s, q = layers.s, layers.q
     lcms = lcm_pairs(inst)
-    if any(cls is LcmClass.EQUALS_GENERATOR for _, cls in lcms.values()):
-        raise NotApplicable("some pairwise lcm equals a generator")
     w_masks = [w for w, _ in lcms.values()]
     for c in layers.layer_masks(inst.d + 2):
         if not any(c & w == w for w in w_masks):

@@ -297,15 +297,14 @@ class LcmClass(Enum):
     IN_C = "C"
     IN_J = "J"
     DEG_TOO_BIG = "big"
-    EQUALS_GENERATOR = "generator"
 
 
 def lcm_pairs(pair: IdealPair) -> dict[tuple[int, int], tuple[int, LcmClass]]:
     """Classify lcm(f_i, f_j), as a mask, for the degree-d generators f_1 < f_2 < ... of I.
 
     Keys are 1-based (i, j) with i < j, indexing the canonically sorted
-    degree-d generators. The EQUALS_GENERATOR class can only appear for
-    non-minimal generator sets, which a validated pair never has.
+    degree-d generators. Two distinct degree-d generators have an lcm of
+    degree at least d+1, so the lcm never equals a generator.
     """
     gens = pair.degree_d_masks()
     d = pair.d
@@ -313,9 +312,7 @@ def lcm_pairs(pair: IdealPair) -> dict[tuple[int, int], tuple[int, LcmClass]]:
     out: dict[tuple[int, int], tuple[int, LcmClass]] = {}
     for a, b in itertools.combinations(range(len(gens)), 2):
         w = gens[a] | gens[b]
-        if w in (gens[a], gens[b]):
-            cls = LcmClass.EQUALS_GENERATOR
-        elif masks_contain(jm, w):
+        if masks_contain(jm, w):
             cls = LcmClass.IN_J
         elif w.bit_count() == d + 1:
             cls = LcmClass.IN_B

@@ -1,9 +1,9 @@
 """Analysis reports: one JSON document per run, rendered to text separately.
 
-The JSON document is the single source of truth; ``render_*_text`` functions
-are pure functions of it.  Sections that fail carry an ``error`` slot instead
-of aborting the whole report.  ``elapsed_ms`` stays null unless timing was
-requested, keeping equal-seed reports byte-identical.
+The JSON document is the single source of truth; ``render_text`` and
+``render_hunt_text`` are pure functions of it.  Sections that fail carry an
+``error`` slot instead of aborting the whole report.  ``elapsed_ms`` stays
+null unless timing was requested, keeping equal-seed reports byte-identical.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ def _instance_lines(inst: dict) -> list[str]:
     ]
 
 
-def _poset_line(poset: dict) -> str:
-    return (
+def _poset_lines(poset: dict) -> list[str]:
+    return [
         f"poset      rho = {poset['rho']}  (r = {poset['r']}, s = {poset['s']}, q = {poset['q']})"
-    )
+    ]
 
 
 def _certificate_lines(cert: dict) -> list[str]:
@@ -298,6 +298,27 @@ def _criteria_lines(crit: dict) -> list[str]:
     return lines
 
 
+def _lcm_lines(conf: dict) -> list[str]:
+    if "error" in conf:
+        return [f"lcm class  {conf['error']}"]
+    lines = [f"lcm class  {conf['label']}  (s = {conf['s']}, q = {conf['q']})"]
+    for c in conf["checks"]:
+        mark = "ok " if c["holds"] else "BAD"
+        lines.append(
+            f"  {mark} {c['description']}  (observed {c['observed']}, required {c['required']})"
+        )
+    return lines
+
+
+def _theorem_lines(theorems: dict) -> list[str]:
+    lines = []
+    for name in ("floor", "step"):
+        entry = theorems[name]
+        extra = f"  ({entry['reason']})" if "reason" in entry else ""
+        lines.append(f"theorem    {name}: {entry['status']}{extra}")
+    return lines
+
+
 def _meta_line(meta: dict) -> str:
     elapsed = f"{meta['elapsed_ms']} ms" if meta["elapsed_ms"] is not None else "untimed"
     parts = [f"version {meta['version']}"]
@@ -307,49 +328,20 @@ def _meta_line(meta: dict) -> str:
     return "meta       " + ", ".join(parts)
 
 
-def render_analysis_text(report: dict) -> str:
+def render_text(report: dict, certificate: bool = True, witness: bool = True) -> str:
+    """Text of a single-instance report: the sections it holds, in one fixed order."""
+    sections = (
+        ("poset", _poset_lines),
+        ("sdepth", lambda sd: _sdepth_lines(sd, show_certificate=certificate)),
+        ("depth", lambda dep: _depth_lines(dep, witness=witness)),
+        ("criteria", _criteria_lines),
+        ("lcm_configuration", _lcm_lines),
+        ("theorems", _theorem_lines),
+    )
     lines = _instance_lines(report["instance"])
-    lines.append(_poset_line(report["poset"]))
-    lines += _sdepth_lines(report["sdepth"])
-    lines += _depth_lines(report["depth"])
-    lines += _criteria_lines(report["criteria"])
-    conf = report["lcm_configuration"]
-    if "error" in conf:
-        lines.append(f"lcm class  {conf['error']}")
-    else:
-        lines.append(f"lcm class  {conf['label']}  (s = {conf['s']}, q = {conf['q']})")
-        for c in conf["checks"]:
-            mark = "ok " if c["holds"] else "BAD"
-            lines.append(
-                f"  {mark} {c['description']}  (observed {c['observed']}, required {c['required']})"
-            )
-    th = report["theorems"]
-    for name in ("floor", "step"):
-        entry = th[name]
-        extra = f"  ({entry['reason']})" if "reason" in entry else ""
-        lines.append(f"theorem    {name}: {entry['status']}{extra}")
-    lines.append(_meta_line(report["meta"]))
-    return "\n".join(lines) + "\n"
-
-
-def render_sdepth_text(report: dict, certificate: bool = True) -> str:
-    lines = _instance_lines(report["instance"])
-    lines += _sdepth_lines(report["sdepth"], show_certificate=certificate)
-    lines.append(_meta_line(report["meta"]))
-    return "\n".join(lines) + "\n"
-
-
-def render_depth_text(report: dict, witness: bool = True) -> str:
-    lines = _instance_lines(report["instance"])
-    lines += _depth_lines(report["depth"], witness=witness)
-    lines.append(_meta_line(report["meta"]))
-    return "\n".join(lines) + "\n"
-
-
-def render_criteria_text(report: dict) -> str:
-    lines = _instance_lines(report["instance"])
-    lines.append(_poset_line(report["poset"]))
-    lines += _criteria_lines(report["criteria"])
+    for key, render in sections:
+        if key in report:
+            lines += render(report[key])
     lines.append(_meta_line(report["meta"]))
     return "\n".join(lines) + "\n"
 

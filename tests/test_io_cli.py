@@ -32,9 +32,7 @@ from sqdepth.report import (
     build_depth_report,
     build_sdepth_report,
     load_schema,
-    render_analysis_text,
-    render_depth_text,
-    render_sdepth_text,
+    render_text,
     wrap_hunt_report,
 )
 
@@ -301,25 +299,51 @@ def test_family_report_matches_golden(name):
     assert out == (Path(__file__).parent / "golden" / "hunt" / f"{name}.json").read_text()
 
 
+TEXT_GOLDENS = Path(__file__).parent / "golden" / "text"
+SINGLE_REPORTS = {
+    "sdepth": build_sdepth_report,
+    "depth": build_depth_report,
+    "criteria": build_criteria_report,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, stem",
+    [("analyze", path.stem) for path in sorted(CORPUS.glob("*.ideal"))]
+    + [(kind, "max-ideal-3") for kind in sorted(SINGLE_REPORTS)],
+    ids=lambda v: v,
+)
+def test_render_text_matches_golden(kind, stem):
+    """The text of each analysis golden report, and of the sdepth, depth and
+    criteria reports of max-ideal-3, is byte-identical to its recorded file
+    under tests/golden/text/<kind>/<stem>.txt."""
+    if kind == "analyze":
+        golden = Path(__file__).parent / "golden" / "analyze" / f"{stem}.json"
+        report = json.loads(golden.read_text())
+    else:
+        report = SINGLE_REPORTS[kind](load_ideal(CORPUS / f"{stem}.ideal")[0])
+    assert render_text(report) == (TEXT_GOLDENS / kind / f"{stem}.txt").read_text()
+
+
 def test_render_text_is_pure():
     doc = build_sdepth_report(M3)
-    assert render_sdepth_text(doc) == render_sdepth_text(doc)
-    text = render_sdepth_text(doc)
+    assert render_text(doc) == render_text(doc)
+    text = render_text(doc)
     assert "sdepth     2  (4 nodes)" in text
     assert "[x1, x1*x2]" in text
-    assert render_sdepth_text(doc, certificate=False).count("[x1, x1*x2]") == 0
+    assert render_text(doc, certificate=False).count("[x1, x1*x2]") == 0
 
 
 def test_render_depth_witness_toggle():
     doc = build_depth_report(M3, chars=(0,))
-    with_w = render_depth_text(doc)
+    with_w = render_text(doc)
     assert "depth      char 0: 1  (H_2 at sigma = x1*x2*x3)" in with_w
-    without = render_depth_text(doc, witness=False)
+    without = render_text(doc, witness=False)
     assert "H_2" not in without
 
 
 def test_render_analysis_sections():
-    text = render_analysis_text(build_analysis_report(M3))
+    text = render_text(build_analysis_report(M3))
     assert "poset      rho = [0, 3, 3, 1]  (r = 3, s = 3, q = 1)" in text
     assert "criteria   upper bound: 2" in text
     assert "lcm class  k3-all-B-distinct  (s = 3, q = 1)" in text
@@ -363,7 +387,7 @@ def test_cli_global_flags_in_both_positions():
 
 
 def test_cli_depth_char_selection():
-    code, out, _ = run_cli(["depth", M3_FILE, "--char", "2"])
+    code, out, _ = run_cli(["depth", M3_FILE, "--chars", "2"])
     assert code == 0
     assert out.count("depth      char") == 1
     assert "char 2: 1" in out
@@ -373,6 +397,18 @@ def test_cli_depth_char_selection():
     doc = json.loads(out)
     assert sorted(doc["depth"]) == ["0", "5"]
     validate(doc)
+
+
+def test_cli_chars_drop_duplicates(monkeypatch):
+    code, out, _ = run_cli(["depth", M3_FILE, "--chars", "0,0", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["chars"] == [0]
+    assert sorted(doc["depth"]) == ["0"]
+    monkeypatch.setenv("SQDEPTH_CHARS", "3,0,3")
+    code, out, _ = run_cli(["depth", M3_FILE, "--json"])
+    assert code == 0
+    assert json.loads(out)["meta"]["chars"] == [3, 0]
 
 
 def test_cli_depth_rejects_composite_characteristic():
@@ -487,6 +523,29 @@ def test_cli_malformed_file(tmp_path):
     code, _, err = run_cli(["sdepth", str(f)])
     assert code == 2
     assert "bad factor" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", M3_FILE, "--budget", "5"],
+        ["sdepth", M3_FILE, "--chars", "4"],
+        ["depth", M3_FILE, "--seed", "1"],
+        ["--budget", "5", "analyze", M3_FILE],
+    ],
+    ids=["criteria-budget", "sdepth-chars", "depth-seed", "budget-before-command"],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_cli_samples_must_be_positive(samples):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["verify", "step", "--n", "5", "--samples", samples])
+    assert info.value.code == 2
 
 
 def test_cli_usage_errors_exit_two():
