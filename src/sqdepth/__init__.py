@@ -3,44 +3,40 @@
 __version__ = "0.1.0"
 
 from .lab import (
-    BoundCheck,
     CheckResult,
     EmptyFamily,
-    HMap,
     HypothesisMismatch,
     InstanceFamily,
-    LcmConfiguration,
-    NotApplicable,
-    NotNormalized,
-    PathReport,
     canonical_key,
-    check_depth_floor,
-    check_depth_step,
-    check_depth_step_open,
-    classify_lcm_configuration,
-    configuration_instances,
     enumerate_all_pairs,
     enumerate_instances,
-    extract_h_map,
-    find_maximal_bad_paths,
-    h_map_via_solver,
     hunt_counterexamples,
     is_canonical,
     permute_mask,
-    removal_pair,
     sample_instances,
+)
+from .lemmas import (
+    BoundCheck,
+    HMap,
+    LcmClass,
+    LcmConfiguration,
+    NotApplicable,
+    NotNormalizable,
+    NotNormalized,
+    PathReport,
+    classify_lcm_configuration,
+    configuration_instances,
+    extract_h_map,
+    find_maximal_bad_paths,
+    h_map_via_solver,
+    lcm_pairs,
+    normalize_partition,
+    removal_pair,
     split_modules,
+    subquotient_pair,
     truncation_pair,
 )
-from .criteria import (
-    CriterionVerdict,
-    OutOfRange,
-    all_verdicts,
-    alternating_criterion,
-    alternating_layer_sum,
-    best_upper_bound,
-    binomial_criterion,
-)
+from .criteria import CriterionVerdict, best_upper_bound
 from .ideal_io import (
     ParseError,
     load_ideal,
@@ -50,30 +46,24 @@ from .ideal_io import (
     parse_ideal_json,
     parse_ideal_text,
     partition_to_dict,
-    partition_to_text,
 )
 from .koszul import DepthResult, FieldSpec, KoszulStrand, build_strand, depth, depth_profile
 from .monomial import (
     IdealPair,
-    LcmClass,
     Monomial,
     PosetEmpty,
     PosetLayers,
     ValidationError,
     build_poset,
-    lcm_pairs,
-    subquotient_pair,
 )
 from .partition import (
     BudgetExhausted,
     Interval,
     IntervalPartition,
     InvalidTarget,
-    NotNormalizable,
     SdepthResult,
     hall_necessary_check,
     matching_upper_bound,
-    normalize_partition,
     partition_violations,
     sdepth_decision,
     sdepth_exact,

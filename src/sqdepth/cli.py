@@ -92,8 +92,8 @@ def _add_output_flags(parser: argparse.ArgumentParser, default) -> None:
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET,
-        help=f"search node budget (default {DEFAULT_NODE_BUDGET})",
+        "--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET, metavar="N",
+        help=f"search node budget N >= 1 (default {DEFAULT_NODE_BUDGET})",
     )
 
 

@@ -9,7 +9,21 @@ certify an upper bound on depth over every coefficient field at once:
   sum_{j=d}^{k-1} (-1)^{k-j+1} C(t+1-j, k-j) rho_j.
 
 A fired test means depth(I/J) <= t for every field; if depth >= t is known
-independently the bound pins depth = t.  Everything here is exact integer
+independently the bound pins depth = t.  Proof: suppose depth(I/J) >= t+1
+over a field K.  Extending K to an infinite field changes no depth, and
+then t+1 general linear forms are a regular sequence on I/J.  A monomial
+lies in I \\ J exactly when its support does, and the monomials with one
+support of degree k contribute x^k/(1-x)^k, so the Hilbert series of I/J
+is sum_k rho_k x^k/(1-x)^k.  Dividing out the regular sequence leaves the
+series (1-x)^(t+1) sum_k rho_k x^k/(1-x)^k, whose coefficients are
+nonnegative.  For k <= t+1 its coefficient of x^k is
+
+    sum_{j=d}^{k} (-1)^(k-j) C(t+1-j, k-j) rho_j,
+
+which is rho_k minus the right-hand side of the binomial test at (t, k).  A
+fired test makes that coefficient negative, a contradiction.  The
+alternating test at t is the binomial test at k = t+1.  (Bruns-Herzog,
+*Cohen-Macaulay Rings*, Ch. 4.)  Everything here is exact integer
 arithmetic, so verdicts cannot depend on a characteristic.
 """
 
@@ -19,11 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomial import IdealPair, InvariantError, PosetLayers, build_poset
-
-
-class OutOfRange(ValueError):
-    """A criterion was requested at an inadmissible level t or index k."""
+from .monomial import InvariantError, PosetLayers
 
 
 @dataclass(frozen=True)
@@ -31,8 +41,7 @@ class CriterionVerdict:
     """Outcome of one inequality test.
 
     ``fired`` holds exactly when ``lhs < rhs``.  ``k`` is None for the
-    alternating kind.  ``implied_upper_bound`` equals ``t`` when fired,
-    else None.
+    alternating kind.
     """
 
     kind: str
@@ -46,70 +55,31 @@ class CriterionVerdict:
         if self.fired != (self.lhs < self.rhs):
             raise InvariantError(f"fired={self.fired} but lhs={self.lhs}, rhs={self.rhs}")
 
-    @property
-    def implied_upper_bound(self) -> int | None:
-        return self.t if self.fired else None
-
-
-def _profile(obj: IdealPair | PosetLayers) -> tuple[tuple[int, ...], int]:
-    """The layer counts rho and the degree d, the only inputs of every test."""
-    layers = build_poset(obj) if isinstance(obj, IdealPair) else obj
-    return layers.rho, layers.d
-
-
-def alternating_layer_sum(layers: IdealPair | PosetLayers, t: int) -> int:
-    """alpha_t: the alternating sum of rho_d .. rho_t, last term positive."""
-    return alternating_criterion(layers, t).rhs
-
-
-def alternating_criterion(layers: IdealPair | PosetLayers, t: int) -> CriterionVerdict:
-    """Test rho_{t+1} < alpha_t; fired means depth <= t in every characteristic."""
-    return _alternating(*_profile(layers), t)
-
 
 def _alternating(rho: tuple[int, ...], d: int, t: int) -> CriterionVerdict:
-    if not d <= t < len(rho) - 1:
-        raise OutOfRange(f"level t={t} outside [{d}, {len(rho) - 1})")
+    """Test rho_{t+1} < alpha_t, the alternating sum of rho_d .. rho_t."""
     lhs = rho[t + 1]
     rhs = sum((-1) ** (t - d + i) * rho[d + i] for i in range(t - d + 1))
     return CriterionVerdict("alternating", t, None, lhs, rhs, lhs < rhs)
 
 
-def binomial_criterion(layers: IdealPair | PosetLayers, t: int, k: int) -> CriterionVerdict:
-    """Test rho_k against the binomial-weighted alternating sum at (t, k).
-
-    Admissible when d <= t < n and d+1 <= k <= t+1.  At k = t+1 the sum
-    collapses to alpha_t, so this strictly generalizes the alternating test.
-    """
-    return _binomial(*_profile(layers), t, k)
-
-
 def _binomial(rho: tuple[int, ...], d: int, t: int, k: int) -> CriterionVerdict:
-    if not d <= t < len(rho) - 1:
-        raise OutOfRange(f"level t={t} outside [{d}, {len(rho) - 1})")
-    if not d + 1 <= k <= t + 1:
-        raise OutOfRange(f"index k={k} outside [{d + 1}, {t + 1}]")
+    """Test rho_k against the binomial-weighted alternating sum at (t, k)."""
     lhs = rho[k]
     rhs = sum((-1) ** (k - j + 1) * math.comb(t + 1 - j, k - j) * rho[j] for j in range(d, k))
     return CriterionVerdict("binomial", t, k, lhs, rhs, lhs < rhs)
 
 
-def all_verdicts(layers: IdealPair | PosetLayers) -> tuple[CriterionVerdict, ...]:
-    """Every admissible verdict, alternating before binomial at each level."""
-    return _sweep(*_profile(layers))[1]
-
-
-def best_upper_bound(
-    layers: IdealPair | PosetLayers,
-) -> tuple[int | None, tuple[CriterionVerdict, ...]]:
+def best_upper_bound(layers: PosetLayers) -> tuple[int | None, tuple[CriterionVerdict, ...]]:
     """Sweep all admissible tests; return (minimal fired t or None, all verdicts)."""
-    return _sweep(*_profile(layers))
+    return _sweep(layers.rho, layers.d)
 
 
 @lru_cache(maxsize=32)
 def _sweep(rho: tuple[int, ...], d: int) -> tuple[int | None, tuple[CriterionVerdict, ...]]:
-    """The sweep for one layer profile, shared by the search's start bound and
-    the report's criteria section, which both ask for it on one poset."""
+    """The sweep over the admissible d <= t < n, d+1 <= k <= t+1 for one layer
+    profile, shared by the search's start bound and the report's criteria
+    section, which both ask for it on one poset."""
     verdicts: list[CriterionVerdict] = []
     for t in range(d, len(rho) - 1):
         verdicts.append(_alternating(rho, d, t))

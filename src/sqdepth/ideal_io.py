@@ -90,11 +90,12 @@ def parse_ideal_json(text: str) -> tuple[IdealPair, list[str]]:
         if key not in doc:
             raise ParseError(f"missing JSON field {key!r}")
     n, gi, gj = doc["n"], doc["I"], doc["J"]
-    if not isinstance(n, int):
+    # JSON true and false load as bool, a subclass of int, so test the exact type
+    if type(n) is not int:
         raise ParseError("field 'n' must be an integer")
     for name, lst in (("I", gi), ("J", gj)):
         if not isinstance(lst, list) or not all(
-            isinstance(g, list) and all(isinstance(v, int) for v in g) for g in lst
+            isinstance(g, list) and all(type(v) is int for v in g) for g in lst
         ):
             raise ParseError(f"field {name!r} must be a list of index lists")
     return _build(n, gi, gj)
@@ -146,8 +147,3 @@ def partition_to_dict(part) -> dict:
             for iv in part.intervals
         ],
     }
-
-
-def partition_to_text(part) -> str:
-    """One interval per line: [x1*x3, x1*x3*x4]."""
-    return "\n".join(str(iv) for iv in part.intervals) + "\n"

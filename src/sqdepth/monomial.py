@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 
 MAX_VARS = 24
@@ -288,65 +287,6 @@ def build_poset(pair: IdealPair) -> PosetLayers:
     for m in elems:
         rho[m.bit_count()] += 1
     return PosetLayers(pair=pair, elems=elems, rho=tuple(rho))
-
-
-class LcmClass(Enum):
-    """Where the lcm of two least-degree generators lands relative to I \\ J."""
-
-    IN_B = "B"
-    IN_C = "C"
-    IN_J = "J"
-    DEG_TOO_BIG = "big"
-
-
-def lcm_pairs(pair: IdealPair) -> dict[tuple[int, int], tuple[int, LcmClass]]:
-    """Classify lcm(f_i, f_j), as a mask, for the degree-d generators f_1 < f_2 < ... of I.
-
-    Keys are 1-based (i, j) with i < j, indexing the canonically sorted
-    degree-d generators. Two distinct degree-d generators have an lcm of
-    degree at least d+1, so the lcm never equals a generator.
-    """
-    gens = pair.degree_d_masks()
-    d = pair.d
-    jm = pair.j_masks
-    out: dict[tuple[int, int], tuple[int, LcmClass]] = {}
-    for a, b in itertools.combinations(range(len(gens)), 2):
-        w = gens[a] | gens[b]
-        if masks_contain(jm, w):
-            cls = LcmClass.IN_J
-        elif w.bit_count() == d + 1:
-            cls = LcmClass.IN_B
-        elif w.bit_count() == d + 2:
-            cls = LcmClass.IN_C
-        else:
-            cls = LcmClass.DEG_TOO_BIG
-        out[(a + 1, b + 1)] = (w, cls)
-    return out
-
-
-def intersect_masks(masks_a, masks_b) -> tuple[int, ...]:
-    """Minimal generators of the intersection of two squarefree monomial ideals."""
-    return minimalize_masks(a | b for a in masks_a for b in masks_b)
-
-
-def sum_masks(masks_a, masks_b) -> tuple[int, ...]:
-    return minimalize_masks(itertools.chain(masks_a, masks_b))
-
-
-def subquotient_pair(n: int, num_masks, den_masks) -> IdealPair | None:
-    """Present the module (num)/(den cap num) as a validated ideal pair.
-
-    Generators of the numerator lying inside the denominator contribute no
-    monomials to the difference and are dropped first; what remains always
-    satisfies the degree rule for J. Returns None when the numerator sinks
-    entirely into the denominator (the zero module).
-    """
-    den = minimalize_masks(den_masks)
-    live = [g for g in minimalize_masks(num_masks) if not masks_contain(den, g)]
-    if not live:
-        return None
-    j = intersect_masks(live, den) if den else ()
-    return IdealPair.from_masks(n, live, j)
 
 
 def extend_pair(pair: IdealPair, extra: int = 1) -> IdealPair:

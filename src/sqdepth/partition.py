@@ -46,10 +46,6 @@ class InvalidTarget(ValueError):
     """Requested target outside d..n."""
 
 
-class NotNormalizable(ValueError):
-    """Partition cannot be normalized to the requested target."""
-
-
 class BudgetExhausted(RuntimeError):
     """Search node budget ran out before the answer was decided."""
 
@@ -395,56 +391,3 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
         return HallCheck(holds=True, matching=pairs, deficient=())
     violator = hall_violator(adjacency, len(right), matching)
     return HallCheck(holds=False, matching=(), deficient=tuple(left[u] for u in violator))
-
-
-def _split_box(base: int, free: tuple[int, ...], quota: int) -> list[tuple[int, int]]:
-    """Partition {base | S : S subset of free} into intervals: every bottom
-    with more than ``quota`` missing degrees gets topped exactly ``quota``
-    steps up, the rest become singletons. Requires len(free) >= quota."""
-    if quota <= 0:
-        sub_all = 0
-        for bit in free:
-            sub_all |= 1 << bit
-        return [(base | sub, base | sub) for sub in submasks(sub_all)]
-    if len(free) == quota:
-        top = base
-        for bit in free:
-            top |= 1 << bit
-        return [(base, top)]
-    z = free[-1]
-    rest = free[:-1]
-    return _split_box(base, rest, quota) + _split_box(base | 1 << z, rest, quota - 1)
-
-
-def normalize_partition(
-    pair: IdealPair, part: IntervalPartition, target: int | None = None
-) -> IntervalPartition:
-    """Rewrite a partition so low intervals end exactly at ``target``.
-
-    Output shape: every interval whose bottom has degree < target has a top
-    of degree exactly target; every other interval is a singleton. The
-    rewrite happens inside each original member set, so validity and the
-    sdepth guarantee (>= target) are preserved. Default target is d+2, the
-    shape downstream interval-map extraction consumes.
-    """
-    if target is None:
-        target = pair.d + 2
-    if part.sdepth_value < target:
-        raise NotNormalizable(
-            f"partition has sdepth value {part.sdepth_value}, below target {target}"
-        )
-    n = pair.n
-    out: list[Interval] = []
-    for iv in part.intervals:
-        if iv.lo.degree >= target:
-            for m in iv.member_masks():
-                mono = Monomial(m, n)
-                out.append(Interval(mono, mono))
-        elif iv.hi.degree == target:
-            out.append(iv)
-        else:
-            free = tuple(v for v in range(n) if (iv.hi.mask >> v & 1) and not (iv.lo.mask >> v & 1))
-            quota = target - iv.lo.degree
-            for lo, hi in _split_box(iv.lo.mask, free, quota):
-                out.append(Interval(Monomial(lo, n), Monomial(hi, n)))
-    return IntervalPartition.from_intervals(out)

@@ -16,13 +16,8 @@ from . import __version__
 from .criteria import best_upper_bound
 from .ideal_io import pair_to_dict, partition_to_dict
 from .koszul import DEFAULT_FIELDS, FieldSpec
-from .lab import (
-    STATEMENTS,
-    Analysis,
-    HypothesisMismatch,
-    NotApplicable,
-    classify_lcm_configuration,
-)
+from .lab import STATEMENTS, Analysis, HypothesisMismatch
+from .lemmas import NotApplicable, classify_lcm_configuration
 from .monomial import IdealPair, build_poset
 from .partition import DEFAULT_NODE_BUDGET, BudgetExhausted, sdepth_decision
 

@@ -18,20 +18,22 @@ import pytest
 from oracles import full_koszul_depth, naive_sdepth
 
 import sqdepth
-from sqdepth.criteria import all_verdicts, alternating_criterion, binomial_criterion
+from sqdepth.criteria import best_upper_bound
 from sqdepth.koszul import depth_profile
 from sqdepth.lab import (
     Analysis,
     InstanceFamily,
-    classify_lcm_configuration,
-    configuration_instances,
     enumerate_all_pairs,
     floor_statement,
-    h_map_via_solver,
     hunt_counterexamples,
-    split_modules,
     step_statement,
     HypothesisMismatch,
+)
+from sqdepth.lemmas import (
+    classify_lcm_configuration,
+    configuration_instances,
+    h_map_via_solver,
+    split_modules,
 )
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, masks_contain
 from sqdepth.partition import sdepth_decision, sdepth_exact, verify_partition
@@ -198,7 +200,7 @@ def test_criterion_5_numeric_criteria_sound_and_sharp():
     fired_seen = 0
     for pair in small_corpus():
         profile = depth_profile(pair)
-        verdicts = all_verdicts(pair)
+        _, verdicts = best_upper_bound(build_poset(pair))
         for v in verdicts:
             if not v.fired:
                 continue
@@ -208,10 +210,11 @@ def test_criterion_5_numeric_criteria_sound_and_sharp():
                 assert dep <= v.t, f"{pair}: fired t={v.t} but depth_{char}={dep}"
                 if dep >= v.t:
                     assert dep == v.t
-        for t in range(pair.d, pair.n):
-            alt = alternating_criterion(pair, t)
-            degenerate = binomial_criterion(pair, t, t + 1)
-            assert (degenerate.lhs, degenerate.rhs, degenerate.fired) == (alt.lhs, alt.rhs, alt.fired)
+        alt = {v.t: v for v in verdicts if v.kind == "alternating"}
+        assert sorted(alt) == list(range(pair.d, pair.n))
+        for t, a in alt.items():
+            (degenerate,) = [v for v in verdicts if v.kind == "binomial" and (v.t, v.k) == (t, t + 1)]
+            assert (degenerate.lhs, degenerate.rhs, degenerate.fired) == (a.lhs, a.rhs, a.fired)
     elapsed = time.monotonic() - t0
     assert fired_seen > 100
     print(f"criterion 5: PASS - {fired_seen} fired verdicts all sound; "

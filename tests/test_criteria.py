@@ -8,18 +8,10 @@ from pathlib import Path
 import pytest
 
 import sqdepth
-from sqdepth.criteria import (
-    CriterionVerdict,
-    OutOfRange,
-    all_verdicts,
-    alternating_criterion,
-    alternating_layer_sum,
-    best_upper_bound,
-    binomial_criterion,
-)
+from sqdepth.criteria import CriterionVerdict, best_upper_bound
 from sqdepth.koszul import depth_profile
 from sqdepth.lab import enumerate_all_pairs
-from sqdepth.monomial import IdealPair, PosetLayers
+from sqdepth.monomial import IdealPair, PosetLayers, build_poset
 
 M3 = IdealPair.from_variable_lists(3, [[1], [2], [3]], [])
 
@@ -34,41 +26,25 @@ def fake_layers(n, d, rho):
     return PosetLayers(pair=carrier, elems=(), rho=tuple(rho))
 
 
+def verdict(layers, kind, t, k=None):
+    (found,) = [v for v in best_upper_bound(layers)[1] if (v.kind, v.t, v.k) == (kind, t, k)]
+    return found
+
+
 def test_alternating_layer_sum_on_given_profile():
     layers = fake_layers(5, 1, (0, 3, 5, 4, 0, 0))
-    assert alternating_layer_sum(layers, 1) == 3
-    assert alternating_layer_sum(layers, 2) == 2
-    assert alternating_layer_sum(layers, 3) == 2
-    assert alternating_layer_sum(layers, 4) == -2
-
-
-def test_alternating_layer_sum_range():
-    with pytest.raises(OutOfRange):
-        alternating_layer_sum(M3, 0)
-    with pytest.raises(OutOfRange):
-        alternating_layer_sum(M3, 3)
+    assert verdict(layers, "alternating", 1).rhs == 3
+    assert verdict(layers, "alternating", 2).rhs == 2
+    assert verdict(layers, "alternating", 3).rhs == 2
+    assert verdict(layers, "alternating", 4).rhs == -2
 
 
 def test_binomial_on_given_profile_does_not_fire():
     layers = fake_layers(4, 1, (0, 2, 7, 3, 0))
-    verdict = binomial_criterion(layers, 2, 2)
-    assert verdict.lhs == 7
-    assert verdict.rhs == 4
-    assert not verdict.fired
-    assert verdict.implied_upper_bound is None
-
-
-def test_criterion_ranges():
-    with pytest.raises(OutOfRange):
-        alternating_criterion(M3, 0)
-    with pytest.raises(OutOfRange):
-        alternating_criterion(M3, 3)
-    with pytest.raises(OutOfRange):
-        binomial_criterion(M3, 1, 1)
-    with pytest.raises(OutOfRange):
-        binomial_criterion(M3, 1, 3)
-    with pytest.raises(OutOfRange):
-        binomial_criterion(M3, 3, 2)
+    found = verdict(layers, "binomial", 2, 2)
+    assert found.lhs == 7
+    assert found.rhs == 4
+    assert not found.fired
 
 
 def test_verdict_consistency_enforced():
@@ -97,7 +73,7 @@ def test_verdict_consistency_enforced_under_optimize():
 
 
 def test_three_generator_verdict_table():
-    bound, verdicts = best_upper_bound(M3)
+    bound, verdicts = best_upper_bound(build_poset(M3))
     assert bound == 2
     table = [(v.kind, v.t, v.k, v.lhs, v.rhs, v.fired) for v in verdicts]
     assert table == [
@@ -108,18 +84,18 @@ def test_three_generator_verdict_table():
         ("binomial", 2, 3, 1, 0, False),
     ]
     fired = [v for v in verdicts if v.fired]
-    assert len(fired) == 1 and fired[0].implied_upper_bound == 2
+    assert len(fired) == 1 and fired[0].t == 2
 
 
 def test_free_module_never_fires():
-    bound, verdicts = best_upper_bound(pair(3, [[]]))
+    bound, verdicts = best_upper_bound(build_poset(pair(3, [[]])))
     assert bound is None
     assert len(verdicts) == 9
     assert not any(v.fired for v in verdicts)
 
 
 def test_missing_second_layer_fires_at_floor():
-    bound, verdicts = best_upper_bound(pair(2, [[1], [2]], [[1, 2]]))
+    bound, verdicts = best_upper_bound(build_poset(pair(2, [[1], [2]], [[1, 2]])))
     assert bound == 1
     assert [(v.kind, v.fired) for v in verdicts] == [
         ("alternating", True),
@@ -127,14 +103,14 @@ def test_missing_second_layer_fires_at_floor():
     ]
 
     deficient = pair(3, [[1], [2], [3]], [[1, 2], [1, 3], [2, 3]])
-    bound, _ = best_upper_bound(deficient)
+    bound, _ = best_upper_bound(build_poset(deficient))
     assert bound == deficient.d == 1
 
 
 def test_binomial_at_top_index_collapses_to_alternating():
     for n in (1, 2, 3):
         for p in enumerate_all_pairs(n):
-            verdicts = all_verdicts(p)
+            _, verdicts = best_upper_bound(build_poset(p))
             alt = {v.t: v for v in verdicts if v.kind == "alternating"}
             for v in verdicts:
                 if v.kind == "binomial" and v.k == v.t + 1:
@@ -145,7 +121,7 @@ def test_binomial_at_top_index_collapses_to_alternating():
 def test_fired_bounds_are_sound_for_every_characteristic():
     for n in (1, 2, 3):
         for p in enumerate_all_pairs(n):
-            bound, verdicts = best_upper_bound(p)
+            bound, verdicts = best_upper_bound(build_poset(p))
             if bound is None:
                 continue
             prof = depth_profile(p)

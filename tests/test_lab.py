@@ -1,4 +1,5 @@
-"""Instance generation, theorem checks, lcm configurations, h-maps, splits."""
+"""Instance generation, theorem checks and hunts, and the proof machinery of
+``sqdepth.lemmas``: lcm configurations, h-maps, splits."""
 
 import itertools
 from dataclasses import replace
@@ -11,31 +12,34 @@ from sqdepth import lab
 from sqdepth.ideal_io import load_ideal
 from sqdepth.koszul import depth
 from sqdepth.lab import (
+    Analysis,
     EmptyFamily,
-    HMap,
     HypothesisMismatch,
     InstanceFamily,
-    NotApplicable,
-    NotNormalized,
     canonical_key,
-    check_depth_floor,
-    check_depth_step,
-    check_depth_step_open,
-    classify_lcm_configuration,
-    configuration_instances,
     degree_masks,
     enumerate_all_pairs,
     enumerate_instances,
-    extract_h_map,
-    find_maximal_bad_paths,
-    h_map_via_solver,
+    floor_statement,
     hunt_counterexamples,
     is_canonical,
     permute_mask,
-    removal_pair,
     sample_instances,
-    split_modules,
+    step_open_statement,
     step_shape,
+    step_statement,
+)
+from sqdepth.lemmas import (
+    HMap,
+    NotApplicable,
+    NotNormalized,
+    classify_lcm_configuration,
+    configuration_instances,
+    extract_h_map,
+    find_maximal_bad_paths,
+    h_map_via_solver,
+    removal_pair,
+    split_modules,
     truncation_pair,
 )
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset
@@ -225,13 +229,13 @@ def test_symmetry_reduction_covers_all_orbits():
 
 
 def test_floor_check_skips_above_floor():
-    res = check_depth_floor(M3)
+    res = floor_statement(Analysis(M3))
     assert res.status == "skip"
     assert res.details == {"sdepth": 2}
 
 
 def test_floor_check_passes_at_floor():
-    res = check_depth_floor(pair(2, [[1], [2]], [[1, 2]]))
+    res = floor_statement(Analysis(pair(2, [[1], [2]], [[1, 2]])))
     assert res.status == "pass"
     assert res.details["sdepth"] == 1
     assert res.details["depths"] == {0: 1, 2: 1, 3: 1}
@@ -252,18 +256,18 @@ def test_step_shape():
 
 
 def test_step_check():
-    res = check_depth_step(M3)
+    res = step_statement(Analysis(M3))
     assert res.status == "pass"
     assert res.details["shape"] == "few"
     assert res.details["depths"] == {0: 1, 2: 1, 3: 1}
-    res = check_depth_step(pair(2, [[1], [2]], [[1, 2]]))
+    res = step_statement(Analysis(pair(2, [[1], [2]], [[1, 2]])))
     assert res.status == "skip"
 
 
 def test_step_open_check():
-    res = check_depth_step_open(pair(2, [[1]]))
+    res = step_open_statement(Analysis(pair(2, [[1]])))
     assert res.status == "pass"
-    res = check_depth_step_open(pair(3, [[]]))
+    res = step_open_statement(Analysis(pair(3, [[]])))
     assert res.status == "skip"
     assert res.details == {"sdepth": 3}
 

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from sqdepth.lab import enumerate_all_pairs
+from sqdepth.lemmas import LcmClass, intersect_masks, lcm_pairs, subquotient_pair, sum_masks
 from sqdepth.monomial import (
     IdealPair,
-    LcmClass,
     Monomial,
     PosetEmpty,
     ValidationError,
@@ -16,15 +16,11 @@ from sqdepth.monomial import (
     difference_masks,
     extend_pair,
     ideal_masks,
-    intersect_masks,
-    lcm_pairs,
     mask_key,
     mask_variables,
     masks_contain,
     minimalize_masks,
     poset_masks,
-    subquotient_pair,
-    sum_masks,
 )
 
 

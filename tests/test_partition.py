@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sqdepth
+from sqdepth.lemmas import NotNormalizable, normalize_partition
 from sqdepth.monomial import IdealPair, Monomial
 from sqdepth.partition import (
     DEFAULT_NODE_BUDGET,
@@ -14,10 +15,8 @@ from sqdepth.partition import (
     Interval,
     IntervalPartition,
     InvalidTarget,
-    NotNormalizable,
     hall_necessary_check,
     matching_upper_bound,
-    normalize_partition,
     partition_violations,
     sdepth_decision,
     sdepth_exact,

@@ -5,10 +5,11 @@ import json
 from hypothesis import assume, given, settings, strategies as st
 from oracles import naive_sdepth
 
-from sqdepth.criteria import all_verdicts, best_upper_bound
+from sqdepth.criteria import best_upper_bound
 from sqdepth.ideal_io import pair_to_dict, pair_to_text, parse_ideal, parse_ideal_text
 from sqdepth.koszul import FieldSpec, depth, depth_profile
-from sqdepth.lab import permute_mask, split_modules
+from sqdepth.lab import permute_mask
+from sqdepth.lemmas import normalize_partition, split_modules
 from sqdepth.monomial import (
     IdealPair,
     ValidationError,
@@ -21,7 +22,6 @@ from sqdepth.monomial import (
 from sqdepth.partition import (
     hall_necessary_check,
     matching_upper_bound,
-    normalize_partition,
     sdepth_exact,
     verify_partition,
 )
@@ -149,12 +149,12 @@ def test_hall_failure_pins_sdepth_at_d(p):
 def test_numeric_bound_dominates_sdepth(p):
     # sdepth_exact starts its search at this bound, so check it against the
     # exhaustive oracle instead
-    bound, verdicts = best_upper_bound(p)
+    bound, verdicts = best_upper_bound(build_poset(p))
     if bound is not None:
         assert naive_sdepth(p) <= bound
         assert any(v.fired and v.t == bound for v in verdicts)
     else:
-        assert all(not v.fired for v in all_verdicts(p))
+        assert all(not v.fired for v in verdicts)
 
 
 @given(ideal_pairs())
