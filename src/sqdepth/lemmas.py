@@ -308,28 +308,24 @@ def configuration_instances(label: str, count: int):
     the all-B-distinct shape.  Instances come from exhaustive scans of
     generator triples (or pairs) at growing (d, n) with truncated J.
     """
-    produced = 0
+    return itertools.islice(_configurations(label), count)
+
+
+def _configurations(label: str):
+    """Every scanned instance classifying as ``label``, in scan order."""
+    k = 2 if label.startswith("k2") else 3
     for d, n in _DN_ORDER:
-        if produced >= count:
-            return
-        k = 2 if label.startswith("k2") else 3
         if math.comb(n, d) < k:
             continue
         for gens in itertools.combinations(degree_masks(n, d), k):
-            if produced >= count:
-                return
             for kept in _kept_choices(label, n, d, gens):
                 pair = truncation_pair(n, gens, kept)
                 try:
                     conf = classify_lcm_configuration(pair)
                 except (NotApplicable, PosetEmpty):
                     continue
-                if conf.label != label:
-                    continue
-                yield pair
-                produced += 1
-                if produced >= count:
-                    return
+                if conf.label == label:
+                    yield pair
 
 
 _DN_ORDER = [
