@@ -30,7 +30,7 @@ arithmetic, so verdicts cannot depend on a characteristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .monomial import InvariantError, PosetLayers
@@ -56,13 +56,6 @@ class CriterionVerdict:
             raise InvariantError(f"fired={self.fired} but lhs={self.lhs}, rhs={self.rhs}")
 
 
-def _alternating(rho: tuple[int, ...], d: int, t: int) -> CriterionVerdict:
-    """Test rho_{t+1} < alpha_t, the alternating sum of rho_d .. rho_t."""
-    lhs = rho[t + 1]
-    rhs = sum((-1) ** (t - d + i) * rho[d + i] for i in range(t - d + 1))
-    return CriterionVerdict("alternating", t, None, lhs, rhs, lhs < rhs)
-
-
 def _binomial(rho: tuple[int, ...], d: int, t: int, k: int) -> CriterionVerdict:
     """Test rho_k against the binomial-weighted alternating sum at (t, k)."""
     lhs = rho[k]
@@ -82,7 +75,8 @@ def _sweep(rho: tuple[int, ...], d: int) -> tuple[int | None, tuple[CriterionVer
     section, which both ask for it on one poset."""
     verdicts: list[CriterionVerdict] = []
     for t in range(d, len(rho) - 1):
-        verdicts.append(_alternating(rho, d, t))
-        verdicts.extend(_binomial(rho, d, t, k) for k in range(d + 1, t + 2))
+        row = [_binomial(rho, d, t, k) for k in range(d + 1, t + 2)]
+        verdicts.append(replace(row[-1], kind="alternating", k=None))
+        verdicts.extend(row)
     fired = [v.t for v in verdicts if v.fired]
     return (min(fired) if fired else None, tuple(verdicts))

@@ -55,6 +55,12 @@ class FieldSpec:
 DEFAULT_FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
 
 
+def check_paranoid_size(pair: IdealPair) -> None:
+    """The paranoid check scans all n * 2^n multidegrees; refuse it above n = 6."""
+    if pair.n > 6:
+        raise ValueError("paranoid concentration check is limited to n <= 6")
+
+
 def _strand_spaces(members, sigma: int, squared: int = 0):
     """Bases and integer boundary matrices of one multidegree strand.
 
@@ -190,6 +196,8 @@ def depth_profile(
     field's record; a field also stops at the proven floor i = n - d. The
     scan ends when every requested field is settled.
     """
+    if paranoid:
+        check_paranoid_size(pair)
     fields = tuple(fields)
     n, d = pair.n, pair.d
     best: dict[int, tuple[int, Monomial]] = {}
@@ -246,8 +254,6 @@ def _paranoid_concentration(pair: IdealPair, fields) -> None:
     multidegrees off the lcm lattices L_I and L_J.
     """
     n = pair.n
-    if n > 6:
-        raise ValueError("paranoid concentration check is limited to n <= 6")
     members = poset_masks(pair)
     lattice = set(_scan_masks(pair))
     skipped = [

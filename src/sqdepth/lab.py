@@ -22,15 +22,15 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .ideal_io import pair_to_dict
-from .koszul import DEFAULT_FIELDS, DepthResult, depth_profile
+from .koszul import DEFAULT_FIELDS, DepthResult, check_paranoid_size, depth_profile
 from .monomial import (
     IdealPair,
     InvariantError,
     Monomial,
+    degree_masks,
     ideal_masks,
     mask_key,
     masks_contain,
-    minimalize_masks,
 )
 from .partition import DEFAULT_NODE_BUDGET, SdepthResult, sdepth_exact
 
@@ -124,12 +124,6 @@ class InstanceFamily:
             raise EmptyFamily("symmetry reduction needs an enumerated family (--exhaustive)")
 
 
-def degree_masks(n: int, deg: int) -> list[int]:
-    """All squarefree masks of the given degree, canonical order."""
-    # combinations of increasing variables come out in lex order
-    return [sum(1 << v for v in combo) for combo in itertools.combinations(range(n), deg)]
-
-
 def _antichains(elements: list[int]):
     """All antichains (as lists of masks) of the divisibility poset, DFS order.
 
@@ -161,12 +155,9 @@ def _i_candidates(fam: InstanceFamily):
     highs = degree_masks(fam.n, fam.d + 1) if fam.with_e else []
     for combo in itertools.combinations(low, fam.k):
         free_highs = [h for h in highs if all(h & f != f for f in combo)]
-        if fam.with_e:
-            for r in range(len(free_highs) + 1):
-                for extra in itertools.combinations(free_highs, r):
-                    yield combo + extra
-        else:
-            yield combo
+        for r in range(len(free_highs) + 1):
+            for extra in itertools.combinations(free_highs, r):
+                yield combo + extra
 
 
 def _pairs(n: int, i_choices, j_choices, symmetry: bool):
@@ -231,15 +222,13 @@ def sample_instances(fam: InstanceFamily, count: int, seed: int):
     while produced < count:
         gens = tuple(rng.sample(low, fam.k))
         free_highs = [h for h in highs if all(h & f != f for f in gens)]
-        if fam.with_e and free_highs:
+        if free_highs:
             extra = tuple(h for h in free_highs if rng.random() < 0.5)
             gens = gens + extra
         if fam.j_policy == "zero":
             js = ()
         else:
-            elements = _poset_above(fam.n, gens)
-            picked = [m for m in elements if rng.random() < 0.3]
-            js = minimalize_masks(picked)
+            js = [m for m in _poset_above(fam.n, gens) if rng.random() < 0.3]
             if any(masks_contain(js, g) for g in gens):
                 continue
         yield IdealPair.from_masks(fam.n, gens, js)
@@ -276,13 +265,18 @@ class Analysis:
 
     Statements and reports read these fields and call no engine themselves.
     A read that raises (an exhausted budget, an engine error) caches
-    nothing, so callers keep the exception rather than read again.
+    nothing, so callers keep the exception rather than read again.  Too
+    large a ring for the paranoid check is refused before any engine runs.
     """
 
     pair: IdealPair
     fields: tuple = DEFAULT_FIELDS
     budget: int | None = DEFAULT_NODE_BUDGET
     paranoid: bool = False
+
+    def __post_init__(self):
+        if self.paranoid:
+            check_paranoid_size(self.pair)
 
     @functools.cached_property
     def sdepth(self) -> SdepthResult:

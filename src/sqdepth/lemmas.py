@@ -6,8 +6,8 @@
   instances of each label;
 * injections h: B\\{b} -> C read off a normalized partition of the derived
   pair I_b/J_b, and the divisor paths through h;
-* the ideal arithmetic these use, and the two side modules of a short
-  exact sequence split along a subset of the generators.
+* ``subquotient_pair``, which presents I_b/J_b and the two side modules of
+  a short exact sequence split along generators as (num)/(den cap num).
 
 Only the lcm classifier runs outside the tests, in the analysis report.
 """
@@ -19,16 +19,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lab import degree_masks
 from .monomial import (
     IdealPair,
     InvariantError,
     Monomial,
     PosetEmpty,
     build_poset,
+    degree_masks,
     ideal_masks,
     masks_contain,
-    minimalize_masks,
     submasks,
 )
 from .partition import Interval, IntervalPartition, sdepth_decision
@@ -47,16 +46,7 @@ class NotNormalizable(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# ideal arithmetic
-
-
-def intersect_masks(masks_a, masks_b) -> tuple[int, ...]:
-    """Minimal generators of the intersection of two squarefree monomial ideals."""
-    return minimalize_masks(a | b for a in masks_a for b in masks_b)
-
-
-def sum_masks(masks_a, masks_b) -> tuple[int, ...]:
-    return minimalize_masks(itertools.chain(masks_a, masks_b))
+# derived pairs
 
 
 def subquotient_pair(n: int, num_masks, den_masks) -> IdealPair | None:
@@ -64,15 +54,15 @@ def subquotient_pair(n: int, num_masks, den_masks) -> IdealPair | None:
 
     Generators of the numerator lying inside the denominator contribute no
     monomials to the difference and are dropped first; what remains always
-    satisfies the degree rule for J. Returns None when the numerator sinks
-    entirely into the denominator (the zero module).
+    satisfies the degree rule for J. The lcms of the remaining generators
+    with the denominator's generate their intersection; ``from_masks``
+    minimalizes both lists. Returns None when the numerator sinks entirely
+    into the denominator (the zero module).
     """
-    den = minimalize_masks(den_masks)
-    live = [g for g in minimalize_masks(num_masks) if not masks_contain(den, g)]
+    live = [g for g in num_masks if not masks_contain(den_masks, g)]
     if not live:
         return None
-    j = intersect_masks(live, den) if den else ()
-    return IdealPair.from_masks(n, live, j)
+    return IdealPair.from_masks(n, live, [g | h for g in live for h in den_masks])
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +478,7 @@ def removal_pair(inst: IdealPair, b: Monomial) -> IdealPair | None:
     rest = [m for m in build_poset(inst).layer_masks(inst.d + 1) if m != b.mask]
     if not rest:
         return None
-    jb = intersect_masks(inst.j_masks, tuple(rest))
-    return IdealPair.from_masks(inst.n, tuple(rest), tuple(jb))
+    return subquotient_pair(inst.n, rest, inst.j_masks)
 
 
 def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
@@ -522,7 +511,7 @@ def extract_h_map(inst: IdealPair, b: Monomial, part) -> HMap:
     return HMap(b, assignments)
 
 
-def h_map_via_solver(inst: IdealPair, b: Monomial, budget: int = 10_000_000):
+def h_map_via_solver(inst: IdealPair, b: Monomial):
     """Build I_b/J_b, search a partition with tops at degree d+2, extract h.
 
     Returns None when no such partition exists (then s-1 > q or the layer
@@ -533,13 +522,16 @@ def h_map_via_solver(inst: IdealPair, b: Monomial, budget: int = 10_000_000):
         return HMap(b, {})
     if inst.d + 2 > inst.n:
         return None
-    part = sdepth_decision(sub, inst.d + 2, budget=budget)
+    part = sdepth_decision(sub, inst.d + 2)
     if part is None:
         return None
     return extract_h_map(inst, b, part)
 
 
-def find_maximal_bad_paths(inst: IdealPair, h: HMap, max_reports: int = 100_000):
+MAX_PATH_REPORTS = 100_000
+
+
+def find_maximal_bad_paths(h: HMap):
     """All maximal divisor paths through h, bad ones flagged, DFS order."""
     if not h.assignments:
         return []
@@ -548,8 +540,8 @@ def find_maximal_bad_paths(inst: IdealPair, h: HMap, max_reports: int = 100_000)
     reports: list[PathReport] = []
 
     def dfs(path: list[Monomial], used: set[int]):
-        if len(reports) >= max_reports:
-            raise RuntimeError("path explosion; raise max_reports to continue")
+        if len(reports) >= MAX_PATH_REPORTS:
+            raise RuntimeError(f"path explosion: over MAX_PATH_REPORTS = {MAX_PATH_REPORTS} paths")
         tail_image = h.assignments[path[-1]]
         if tail_image.mask & b_mask == b_mask:
             reports.append(PathReport(tuple(path), True, True))
@@ -588,5 +580,5 @@ def split_modules(pair: IdealPair, subset_masks: tuple[int, ...]):
     if not subset_masks:
         raise ValueError("subset must be nonempty")
     left = subquotient_pair(pair.n, subset_masks, pair.j_masks)
-    right = subquotient_pair(pair.n, pair.i_masks, sum_masks(pair.j_masks, subset_masks))
+    right = subquotient_pair(pair.n, pair.i_masks, (*pair.j_masks, *subset_masks))
     return left, right

@@ -74,7 +74,7 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
     return {u: v for u, v in enumerate(match_l) if v != -1}
 
 
-def hall_violator(adjacency: list[list[int]], n_right: int, matching: dict[int, int]) -> list[int]:
+def hall_violator(adjacency: list[list[int]], matching: dict[int, int]) -> list[int]:
     """A left subset W with |N(W)| < |W|, given a non-saturating maximum matching.
 
     Standard alternating reachability from the unmatched left vertices:

@@ -133,6 +133,12 @@ def masks_contain(gen_masks, mask: int) -> bool:
     return any(g & mask == g for g in gen_masks)
 
 
+def degree_masks(n: int, deg: int) -> list[int]:
+    """All squarefree masks of the given degree, canonical order."""
+    # combinations of increasing variables come out in lex order
+    return [sum(1 << v for v in combo) for combo in itertools.combinations(range(n), deg)]
+
+
 @dataclass(frozen=True)
 class IdealPair:
     """A validated pair of squarefree monomial ideals J < I in K[x1..xn].
@@ -154,6 +160,7 @@ class IdealPair:
     def from_masks(cls, n: int, masks_i, masks_j) -> "IdealPair":
         if not 1 <= n <= MAX_VARS:
             raise ValidationError(f"ambient variable count {n} out of range 1..{MAX_VARS}")
+        masks_i, masks_j = tuple(masks_i), tuple(masks_j)
         for m in itertools.chain(masks_i, masks_j):
             if m < 0 or m >> n:
                 raise ValidationError(f"generator mask {m:#x} does not fit in {n} variables")

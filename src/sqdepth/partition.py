@@ -100,7 +100,7 @@ class SdepthResult:
 
 @dataclass(frozen=True)
 class HallCheck:
-    """Necessary condition for sdepth >= d+1: the degree-d layer must match into B."""
+    """Exact condition for sdepth >= d+1: the degree-d layer matches into B."""
 
     holds: bool
     matching: tuple[tuple[Monomial, Monomial], ...]
@@ -374,12 +374,17 @@ def sdepth_exact(pair: IdealPair, budget: int | None = DEFAULT_NODE_BUDGET) -> S
 
 
 def hall_necessary_check(pair: IdealPair) -> HallCheck:
-    """Matching from the degree-d layer into B; failure forces sdepth = d.
+    """Matching from the degree-d layer into B; it exists exactly when sdepth >= d+1.
 
     Every degree-d monomial of I \\ J is poset-minimal, so in a partition
     witnessing sdepth >= d+1 each must own a distinct multiple in B. When no
     saturating matching exists the returned deficient set is a Hall violator:
     more degree-d elements than the union of their B-multiples can absorb.
+    Conversely, a saturating matching mu gives a partition into the
+    intervals [a, mu(a)] and the singletons of all other elements, each of
+    degree >= d+1. So ``holds`` is exactly sdepth >= d+1, and exactly
+    ``matching_upper_bound(pair) > d``, whose first matching is this one
+    (the degree-d elements of I \\ J are the degree-d generators of I).
     """
     poset = build_poset(pair)
     left = [Monomial(m, pair.n) for m in poset.layer_masks(pair.d)]
@@ -389,5 +394,5 @@ def hall_necessary_check(pair: IdealPair) -> HallCheck:
     if len(matching) == len(left):
         pairs = tuple((left[u], right[v]) for u, v in sorted(matching.items()))
         return HallCheck(holds=True, matching=pairs, deficient=())
-    violator = hall_violator(adjacency, len(right), matching)
+    violator = hall_violator(adjacency, matching)
     return HallCheck(holds=False, matching=(), deficient=tuple(left[u] for u in violator))

@@ -147,7 +147,8 @@ def build_analysis_report(
 ) -> dict:
     """Run every engine on the pair once and assemble the JSON analysis document.
 
-    A failing depth computation becomes the depth section's error slot.
+    A failing depth computation becomes the depth section's error slot; a
+    paranoid request that ``Analysis`` refuses raises before any engine runs.
     """
     t0 = time.monotonic()
     analysis = Analysis(pair, tuple(FieldSpec(c) for c in chars), budget, paranoid)

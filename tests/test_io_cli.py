@@ -525,6 +525,15 @@ def test_cli_malformed_file(tmp_path):
     assert "bad factor" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_cli_paranoid_refuses_large_rings(tmp_path, command):
+    f = tmp_path / "seven.ideal"
+    f.write_text("n = 7\nI = x1\nJ = 0\n")
+    code, out, err = run_cli([command, str(f), "--paranoid"])
+    assert (code, out) == (2, "")
+    assert err == "error: paranoid concentration check is limited to n <= 6\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

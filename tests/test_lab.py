@@ -17,7 +17,6 @@ from sqdepth.lab import (
     HypothesisMismatch,
     InstanceFamily,
     canonical_key,
-    degree_masks,
     enumerate_all_pairs,
     enumerate_instances,
     floor_statement,
@@ -42,7 +41,7 @@ from sqdepth.lemmas import (
     split_modules,
     truncation_pair,
 )
-from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset
+from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, degree_masks
 from sqdepth.partition import Interval, IntervalPartition, sdepth_exact
 from sqdepth.report import build_analysis_report
 
@@ -415,7 +414,7 @@ def test_h_map_image_bound_on_generated_instances():
 def test_h_map_empty_when_b_is_alone():
     h = h_map_via_solver(pair(2, [[1]]), mono(2, 1, 2))
     assert h.assignments == {}
-    assert find_maximal_bad_paths(pair(2, [[1]]), h) == []
+    assert find_maximal_bad_paths(h) == []
 
 
 def test_extract_rejects_unnormalized_partitions():
@@ -439,7 +438,7 @@ def test_bad_path_dfs_order():
         mono(4, 1, 2),
         {mono(4, 1, 3): mono(4, 1, 3, 4), mono(4, 3, 4): mono(4, 1, 2, 3)},
     )
-    reports = find_maximal_bad_paths(pair(4, [[1], [2]]), h)
+    reports = find_maximal_bad_paths(h)
     assert [
         ([str(a) for a in r.path], r.is_bad, r.is_maximal) for r in reports
     ] == [
@@ -450,7 +449,7 @@ def test_bad_path_dfs_order():
 
 def test_good_path_terminates_clean():
     h = HMap(mono(4, 1, 2), {mono(4, 1, 3): mono(4, 1, 3, 4)})
-    reports = find_maximal_bad_paths(pair(4, [[1], [2]]), h)
+    reports = find_maximal_bad_paths(h)
     assert len(reports) == 1
     assert not reports[0].is_bad
     assert reports[0].is_maximal

@@ -39,7 +39,7 @@ def test_random_graphs_match_the_oracle():
         matching = hopcroft_karp(adjacency, n_right)
         assert_is_matching(adjacency, n_right, matching)
         assert len(matching) == brute_matching_size(adjacency, n_right)
-        violator = hall_violator(adjacency, n_right, matching)
+        violator = hall_violator(adjacency, matching)
         if len(matching) < n_left:
             neighbours = {v for u in violator for v in adjacency[u]}
             assert len(violator) - len(neighbours) == n_left - len(matching)

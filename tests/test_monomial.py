@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sqdepth.lab import enumerate_all_pairs
-from sqdepth.lemmas import LcmClass, intersect_masks, lcm_pairs, subquotient_pair, sum_masks
+from sqdepth.lemmas import LcmClass, lcm_pairs, subquotient_pair
 from sqdepth.monomial import (
     IdealPair,
     Monomial,
@@ -133,6 +133,8 @@ def test_pair_construction_minimalizes():
     assert p.i_masks == (0b1,)
     assert p.j_masks == (0b111,)
     assert p.d == 1
+    # one-shot iterators are read once, not consumed by the range check
+    assert IdealPair.from_masks(3, iter([0b1, 0b11]), iter([0b111, 0b111])) == p
 
 
 def test_pair_unit_ideal():
@@ -309,19 +311,7 @@ def test_lcm_pairs_indexing_follows_canonical_gens():
 
 
 # ---------------------------------------------------------------------------
-# ideal arithmetic
-
-
-def test_intersect_masks():
-    assert intersect_masks((0b1,), (0b10,)) == (0b11,)
-    assert intersect_masks((0b1, 0b10), (0b100,)) == (0b101, 0b110)
-    assert intersect_masks((0b11,), (0b1,)) == (0b11,)
-    assert intersect_masks((), (0b1,)) == ()
-
-
-def test_sum_masks():
-    assert sum_masks((0b1,), (0b11, 0b10)) == (0b1, 0b10)
-    assert sum_masks((), ()) == ()
+# derived pairs
 
 
 def test_subquotient_pair():
@@ -335,6 +325,11 @@ def test_subquotient_pair():
     # zero denominator
     p = subquotient_pair(3, (0b1,), ())
     assert p is not None and p.j_masks == ()
+    # generator lists with duplicates and multiples present the same module
+    p = subquotient_pair(3, (0b110, 0b10, 0b100, 0b10), (0b1, 0b11, 0b1))
+    assert p is not None
+    assert p.i_masks == (0b10, 0b100)
+    assert p.j_masks == (0b11, 0b101)
 
 
 def test_subquotient_drops_swallowed_generators():

@@ -142,6 +142,7 @@ def test_hall_failure_pins_sdepth_at_d(p):
         assert check.deficient
     else:
         assert len(check.matching) == len(p.degree_d_masks())
+        assert sdepth_exact(p).value > p.d
 
 
 @given(ideal_pairs())

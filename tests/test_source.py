@@ -37,3 +37,91 @@ def test_unused_import_check_finds_stale_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Each module imports only from the layers below its own: the engines'
+# mask arithmetic at the bottom, the campaign and proof modules above the
+# engines, then the report and the command line.
+LAYERS = (
+    ("monomial", "matching", "linalg"),
+    ("criteria", "ideal_io"),
+    ("partition", "koszul"),
+    ("lab", "lemmas"),
+    ("report",),
+    ("cli",),
+)
+LAYER = {name: level for level, names in enumerate(LAYERS) for name in names}
+# (importer, name) pairs read from the package itself
+PACKAGE_IMPORTS = {("report", "__version__")}
+
+
+def layer_violations(name: str, source: str) -> list[str]:
+    """Relative imports of module ``name`` that do not come from a lower layer."""
+    if name not in LAYER:
+        return [f"{name} is in no layer"]
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module is None:
+            targets = [a.name for a in node.names if (name, a.name) not in PACKAGE_IMPORTS]
+        else:
+            targets = [node.module.split(".")[0]]
+        for target in targets:
+            if LAYER.get(target, LAYER[name]) >= LAYER[name]:
+                out.append(f"line {node.lineno}: {name} imports {target}")
+    return out
+
+
+def test_layer_check_finds_upward_imports():
+    source = "from . import __version__\nfrom .monomial import x\ndef f():\n  from .lab import y\n"
+    assert layer_violations("report", source) == []
+    assert layer_violations("lemmas", source) == [
+        "line 1: lemmas imports __version__", "line 4: lemmas imports lab",
+    ]
+    assert layer_violations("newmodule", source) == ["newmodule is in no layer"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_layers(path):
+    assert layer_violations(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body never reads.
+
+    A read is an ``ast.Name`` in load context anywhere in the body, nested
+    functions included; ``self`` and ``cls`` are skipped.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        out += [
+            f"line {node.lineno}: {name}({p.arg})"
+            for p in params
+            if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return out
+
+
+def test_unused_parameter_check_finds_unread_names():
+    source = "def f(self, a, b, *c, d, **e):\n    b = a\n    return lambda x, y: x\n"
+    assert unused_parameters(source) == [
+        "line 1: f(b)", "line 1: f(c)", "line 1: f(d)", "line 1: f(e)", "line 3: lambda(y)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
