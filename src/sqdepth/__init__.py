@@ -7,34 +7,19 @@ from .lab import (
     EmptyFamily,
     HypothesisMismatch,
     InstanceFamily,
-    canonical_key,
     enumerate_all_pairs,
     enumerate_instances,
     hunt_counterexamples,
-    is_canonical,
     permute_mask,
     sample_instances,
 )
 from .lemmas import (
     BoundCheck,
-    HMap,
     LcmClass,
     LcmConfiguration,
     NotApplicable,
-    NotNormalizable,
-    NotNormalized,
-    PathReport,
     classify_lcm_configuration,
-    configuration_instances,
-    extract_h_map,
-    find_maximal_bad_paths,
-    h_map_via_solver,
     lcm_pairs,
-    normalize_partition,
-    removal_pair,
-    split_modules,
-    subquotient_pair,
-    truncation_pair,
 )
 from .criteria import CriterionVerdict, best_upper_bound
 from .ideal_io import (
@@ -62,7 +47,6 @@ from .partition import (
     IntervalPartition,
     InvalidTarget,
     SdepthResult,
-    hall_necessary_check,
     matching_upper_bound,
     partition_violations,
     sdepth_decision,

@@ -9,7 +9,9 @@ into verification campaigns:
   forces depth <= d+1) on each instance,
 * hunt for counterexamples over a family, reporting reproducible counts.
 
-The machinery of the paper's proofs lives in ``sqdepth.lemmas``.
+With ``symmetry`` the enumerators emit one canonical representative per
+orbit of variable permutations.  The lcm classifier of the paper's proofs
+lives in ``sqdepth.lemmas``.
 """
 
 from __future__ import annotations
@@ -56,12 +58,19 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+MAX_SYMMETRY_VARS = 8
+
+
 @functools.lru_cache(maxsize=8)
 def _perm_tables(n: int) -> list[list[int]]:
     """Per permutation of n variables, the ``mask_key`` of each mask's image.
 
-    The first table is the identity permutation's.
+    The first table is the identity permutation's. The tables hold n! * 2^n
+    entries (10.3 M at n = 8, 185.8 M at n = 9), so more than
+    ``MAX_SYMMETRY_VARS`` variables are refused before any is built.
     """
+    if n > MAX_SYMMETRY_VARS:
+        raise ValueError(f"symmetry reduction is limited to n <= {MAX_SYMMETRY_VARS}, got n = {n}")
     return [
         [mask_key(permute_mask(m, perm)) for m in range(1 << n)]
         for perm in itertools.permutations(range(n))
@@ -70,25 +79,6 @@ def _perm_tables(n: int) -> list[list[int]]:
 
 def _rank_key(masks, table):
     return tuple(sorted(table[m] for m in masks))
-
-
-def canonical_key(pair: IdealPair):
-    """Minimal (sorted I keys, sorted J keys) over all variable permutations.
-
-    Comparing sorted key tuples is the same as comparing sorted generator
-    lists lexicographically in the canonical monomial order.
-    """
-    return min(
-        (_rank_key(pair.i_masks, table), _rank_key(pair.j_masks, table))
-        for table in _perm_tables(pair.n)
-    )
-
-
-def is_canonical(pair: IdealPair) -> bool:
-    """True when the pair's own key is minimal in its permutation orbit."""
-    ident = _perm_tables(pair.n)[0]
-    own = (_rank_key(pair.i_masks, ident), _rank_key(pair.j_masks, ident))
-    return own == canonical_key(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +154,11 @@ def _pairs(n: int, i_choices, j_choices, symmetry: bool):
     """The pairs I = (gens), J = (js) for gens in ``i_choices``, js in ``j_choices(gens)``.
 
     With ``symmetry`` only canonical representatives are emitted: a pair is
-    kept exactly when its (sorted I, sorted J) key is minimal over all
-    variable permutations.  The I-part is screened first, because only an
-    I-minimal pair can be pair-minimal; the J-part is then compared only
-    under the permutations that achieve the minimal I-key.  The keys are
-    those of ``canonical_key``, so the kept pairs are exactly the ones
-    ``is_canonical`` accepts.
+    kept exactly when its key, the sorted ``mask_key``s of I's generators
+    and then of J's, is minimal over all variable permutations.  The I-part
+    is screened first, because only an I-minimal pair can be pair-minimal;
+    the J-part is then compared only under the permutations that achieve
+    the minimal I-key.
     """
     tables = _perm_tables(n) if symmetry else None
     for gens in i_choices:

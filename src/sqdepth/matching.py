@@ -1,4 +1,4 @@
-"""Maximum bipartite matching and Hall condition diagnostics.
+"""Maximum bipartite matching.
 
 Vertices are integer indices: left side 0..len(adjacency)-1, right side
 0..n_right-1. The solver calls this in its inner pruning loop, so the
@@ -73,29 +73,3 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
                 augment(u)
     return {u: v for u, v in enumerate(match_l) if v != -1}
 
-
-def hall_violator(adjacency: list[list[int]], matching: dict[int, int]) -> list[int]:
-    """A left subset W with |N(W)| < |W|, given a non-saturating maximum matching.
-
-    Standard alternating reachability from the unmatched left vertices:
-    forward along any edge, backward along matched edges. The reachable left
-    set violates Hall's condition by exactly the number of unmatched seeds.
-    """
-    match_r: dict[int, int] = {v: u for u, v in matching.items()}
-    seeds = [u for u in range(len(adjacency)) if u not in matching]
-    if not seeds:
-        return []
-    seen_l = set(seeds)
-    seen_r: set[int] = set()
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v in seen_r:
-                continue
-            seen_r.add(v)
-            w = match_r.get(v, -1)
-            if w != -1 and w not in seen_l:
-                seen_l.add(w)
-                queue.append(w)
-    return sorted(seen_l)

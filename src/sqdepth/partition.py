@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .criteria import best_upper_bound
-from .matching import hall_violator, hopcroft_karp
+from .matching import hopcroft_karp
 from .monomial import (
     IdealPair,
     InvariantError,
@@ -96,15 +96,6 @@ class SdepthResult:
     value: int
     certificate: IntervalPartition
     nodes: int
-
-
-@dataclass(frozen=True)
-class HallCheck:
-    """Exact condition for sdepth >= d+1: the degree-d layer matches into B."""
-
-    holds: bool
-    matching: tuple[tuple[Monomial, Monomial], ...]
-    deficient: tuple[Monomial, ...]
 
 
 def partition_violations(pair: IdealPair, part: IntervalPartition) -> list[str]:
@@ -315,6 +306,15 @@ def matching_upper_bound(pair: IdealPair) -> int:
     partition; for sdepth >= t > j those intervals need pairwise distinct
     elements of degree j+1. The bound is the first j where that matching
     cannot saturate, or n if none fails.
+
+    At the least degree d the bound is exact (Hall's condition): the bound
+    exceeds d exactly when sdepth >= d+1. The degree-d elements of I \\ J
+    are the degree-d generators of I, so the first matching is the
+    degree-d layer into B. If sdepth >= d+1, each degree-d element heads
+    an interval that owns a distinct multiple in B, so that matching
+    saturates. Conversely, a saturating matching mu gives a partition into
+    the intervals [a, mu(a)] and the singletons of all other elements,
+    each of degree >= d+1.
     """
     poset = build_poset(pair)
     by_degree: dict[int, list[tuple[int, ...]]] = {}
@@ -372,27 +372,3 @@ def sdepth_exact(pair: IdealPair, budget: int | None = DEFAULT_NODE_BUDGET) -> S
             return SdepthResult(value=t, certificate=search.partition(), nodes=nodes_total)
     raise InvariantError("unreachable: target d is always satisfiable")
 
-
-def hall_necessary_check(pair: IdealPair) -> HallCheck:
-    """Matching from the degree-d layer into B; it exists exactly when sdepth >= d+1.
-
-    Every degree-d monomial of I \\ J is poset-minimal, so in a partition
-    witnessing sdepth >= d+1 each must own a distinct multiple in B. When no
-    saturating matching exists the returned deficient set is a Hall violator:
-    more degree-d elements than the union of their B-multiples can absorb.
-    Conversely, a saturating matching mu gives a partition into the
-    intervals [a, mu(a)] and the singletons of all other elements, each of
-    degree >= d+1. So ``holds`` is exactly sdepth >= d+1, and exactly
-    ``matching_upper_bound(pair) > d``, whose first matching is this one
-    (the degree-d elements of I \\ J are the degree-d generators of I).
-    """
-    poset = build_poset(pair)
-    left = [Monomial(m, pair.n) for m in poset.layer_masks(pair.d)]
-    right = [Monomial(m, pair.n) for m in poset.layer_masks(pair.d + 1)]
-    adjacency = list(poset.up[poset.start[pair.d]:poset.start[pair.d + 1]])
-    matching = hopcroft_karp(adjacency, len(right))
-    if len(matching) == len(left):
-        pairs = tuple((left[u], right[v]) for u, v in sorted(matching.items()))
-        return HallCheck(holds=True, matching=pairs, deficient=())
-    violator = hall_violator(adjacency, matching)
-    return HallCheck(holds=False, matching=(), deficient=tuple(left[u] for u in violator))

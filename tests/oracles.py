@@ -5,7 +5,8 @@ mask, the sdepth oracle enumerates interval partitions directly over a
 covered-set bitmask, the depth oracle assembles the one big squarefree
 Koszul complex (no strand decomposition) and row reduces it with its own
 elimination code, and the matching oracle tries every assignment
-recursively.
+recursively. The canonical-form oracle tries every variable permutation
+and sorts monomials by their variable lists.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ from fractions import Fraction
 from sqdepth import IdealPair
 
 
+def monomial_order(m: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a mask: degree, then lexicographic on the variable list."""
+    variables = tuple(v for v in range(m.bit_length()) if m >> v & 1)
+    return len(variables), variables
+
+
 def difference_members(pair: IdealPair) -> list[int]:
-    """The masks of I \\ J by a scan of all 2^n masks, ordered by degree and
-    then lexicographically on the variable list."""
+    """The masks of I \\ J by a scan of all 2^n masks, in ``monomial_order``."""
 
     def inside(gens, m):
         return any(g & m == g for g in gens)
@@ -26,8 +32,29 @@ def difference_members(pair: IdealPair) -> list[int]:
     members = [
         m for m in range(1 << pair.n) if inside(pair.i_masks, m) and not inside(pair.j_masks, m)
     ]
-    variables = lambda m: [v for v in range(pair.n) if m >> v & 1]
-    return sorted(members, key=lambda m: (len(variables(m)), variables(m)))
+    return sorted(members, key=monomial_order)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: the least (sorted I, sorted J) over all permutations
+
+
+def _permuted_key(pair: IdealPair, perm: tuple[int, ...]):
+    def image(m):
+        return sum(1 << perm[v] for v in range(pair.n) if m >> v & 1)
+
+    return tuple(
+        tuple(sorted(monomial_order(image(m)) for m in masks))
+        for masks in (pair.i_masks, pair.j_masks)
+    )
+
+
+def canonical_key(pair: IdealPair):
+    return min(_permuted_key(pair, perm) for perm in itertools.permutations(range(pair.n)))
+
+
+def is_canonical(pair: IdealPair) -> bool:
+    return _permuted_key(pair, tuple(range(pair.n))) == canonical_key(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +217,7 @@ def full_koszul_depth(pair: IdealPair, char: int) -> int:
 # brute-force bipartite matching
 
 
-def brute_matching_size(adjacency: list[list[int]], n_right: int) -> int:
+def brute_matching_size(adjacency: list[list[int]]) -> int:
     best = 0
 
     def rec(i: int, used: int, size: int) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from oracles import full_koszul_depth, naive_sdepth
+from paper_lemmas import HMap, configuration_instances, h_map, removal_pair, split_modules
 
 import sqdepth
 from sqdepth.criteria import best_upper_bound
@@ -29,12 +30,7 @@ from sqdepth.lab import (
     step_statement,
     HypothesisMismatch,
 )
-from sqdepth.lemmas import (
-    classify_lcm_configuration,
-    configuration_instances,
-    h_map_via_solver,
-    split_modules,
-)
+from sqdepth.lemmas import classify_lcm_configuration
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, masks_contain
 from sqdepth.partition import sdepth_decision, sdepth_exact, verify_partition
 
@@ -236,7 +232,7 @@ def test_criterion_6_normalized_partitions_induce_injections():
                     continue
                 seen.add(m)
                 b = Monomial(m, inst.n)
-                h = h_map_via_solver(inst, b)
+                h = h_map(inst, b)
                 if s - 1 > q:
                     assert h is None, f"{inst}: pigeonhole breached at b={b}"
                     pigeonholed += 1
@@ -257,6 +253,37 @@ def test_criterion_6_normalized_partitions_induce_injections():
     assert pigeonholed > 100
     print(f"criterion 6: PASS - {solved} extracted injections, "
           f"{pigeonholed} pigeonhole blocks, zero violations ({elapsed:.0f}s)")
+
+
+def test_h_map_matches_the_solver_route():
+    # the solver route reads h off a d+2 partition of I_b/J_b; both routes
+    # must agree on existence and on the domain, which is B minus b
+    t0 = time.monotonic()
+    rng = random.Random(SEED)
+    n5_slice = (p for p in enumerate_all_pairs(5, symmetry=True) if rng.random() < 0.05)
+    checked = found = 0
+    for inst in itertools.chain(small_corpus(), n5_slice):
+        d = inst.d
+        b_layer = build_poset(inst).layer_masks(d + 1)
+        for m in b_layer:
+            b = Monomial(m, inst.n)
+            h = h_map(inst, b)
+            sub = removal_pair(inst, b)
+            checked += 1
+            if sub is None:
+                assert h == HMap(b, {})
+                continue
+            part = None if d + 2 > inst.n else sdepth_decision(sub, d + 2)
+            assert (h is None) == (part is None), f"{inst} at b={b}"
+            if part is None:
+                continue
+            found += 1
+            domain = {iv.lo.mask for iv in part.intervals if iv.lo.degree == d + 1}
+            assert domain == {a.mask for a in h.assignments} == set(b_layer) - {m}
+    elapsed = time.monotonic() - t0
+    assert found > 1000
+    print(f"h-maps: PASS - matching and solver agree on {checked} (pair, b) choices, "
+          f"{found} injections ({elapsed:.1f}s)")
 
 
 def test_criterion_7_configuration_count_bounds():

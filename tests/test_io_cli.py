@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import sqdepth
+from sqdepth import lab
 from sqdepth.cli import main
 from sqdepth.ideal_io import (
     ParseError,
@@ -532,6 +533,16 @@ def test_cli_paranoid_refuses_large_rings(tmp_path, command):
     code, out, err = run_cli([command, str(f), "--paranoid"])
     assert (code, out) == (2, "")
     assert err == "error: paranoid concentration check is limited to n <= 6\n"
+
+
+def test_cli_symmetry_refuses_nine_variables(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a permutation table was built")
+
+    monkeypatch.setattr(lab, "permute_mask", no_table)
+    code, out, err = run_cli(["verify", "step", "--n", "9", "--exhaustive", "--symmetry"])
+    assert (code, out) == (2, "")
+    assert err == "error: symmetry reduction is limited to n <= 8, got n = 9\n"
 
 
 @pytest.mark.parametrize(

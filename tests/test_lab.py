@@ -1,11 +1,22 @@
-"""Instance generation, theorem checks and hunts, and the proof machinery of
-``sqdepth.lemmas``: lcm configurations, h-maps, splits."""
+"""Instance generation, theorem checks and hunts, the lcm classifier of
+``sqdepth.lemmas``, and the proof machinery of ``paper_lemmas``: lcm
+configuration instances, h-maps, splits."""
 
 import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from oracles import canonical_key, is_canonical
+from paper_lemmas import (
+    HMap,
+    configuration_instances,
+    find_maximal_bad_paths,
+    h_map,
+    removal_pair,
+    split_modules,
+    truncation_pair,
+)
 
 import sqdepth
 from sqdepth import lab
@@ -16,33 +27,19 @@ from sqdepth.lab import (
     EmptyFamily,
     HypothesisMismatch,
     InstanceFamily,
-    canonical_key,
     enumerate_all_pairs,
     enumerate_instances,
     floor_statement,
     hunt_counterexamples,
-    is_canonical,
     permute_mask,
     sample_instances,
     step_open_statement,
     step_shape,
     step_statement,
 )
-from sqdepth.lemmas import (
-    HMap,
-    NotApplicable,
-    NotNormalized,
-    classify_lcm_configuration,
-    configuration_instances,
-    extract_h_map,
-    find_maximal_bad_paths,
-    h_map_via_solver,
-    removal_pair,
-    split_modules,
-    truncation_pair,
-)
+from sqdepth.lemmas import NotApplicable, classify_lcm_configuration
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, degree_masks
-from sqdepth.partition import Interval, IntervalPartition, sdepth_exact
+from sqdepth.partition import sdepth_exact
 from sqdepth.report import build_analysis_report
 
 CORPUS = Path(sqdepth.__file__).parent / "corpus"
@@ -217,6 +214,18 @@ def test_symmetric_family_counts(n, d, k, with_e, count):
     assert sum(1 for _ in enumerate_instances(fam)) == count
 
 
+def test_symmetry_reduction_refused_above_eight_variables(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a permutation table was built")
+
+    monkeypatch.setattr(lab, "permute_mask", no_table)
+    fam = InstanceFamily(9, 1, 2, j_policy="exhaustive", symmetry_reduction=True)
+    with pytest.raises(ValueError, match="limited to n <= 8"):
+        enumerate_instances(fam)
+    with pytest.raises(ValueError, match="limited to n <= 8"):
+        next(enumerate_all_pairs(9, symmetry=True))
+
+
 def test_symmetry_reduction_covers_all_orbits():
     keys = {canonical_key(p) for p in enumerate_all_pairs(3)}
     reduced_keys = {canonical_key(p) for p in enumerate_all_pairs(3, symmetry=True)}
@@ -384,25 +393,25 @@ def test_removal_pair():
     assert removal_pair(pair(2, [[1]]), mono(2, 1, 2)) is None
 
 
-def test_h_map_solver_on_principal_ideal():
-    h = h_map_via_solver(pair(3, [[1]]), mono(3, 1, 2))
+def test_h_map_on_principal_ideal():
+    h = h_map(pair(3, [[1]]), mono(3, 1, 2))
     assert h is not None
     assert {str(k): str(v) for k, v in h.assignments.items()} == {"x1*x3": "x1*x2*x3"}
     assert [str(m) for m in h.image] == ["x1*x2*x3"]
 
 
-def test_h_map_solver_pigeonhole_blocks():
+def test_h_map_pigeonhole_blocks():
     layers = build_poset(M3)
     assert (layers.s, layers.q) == (3, 1)
     for m in layers.layer_masks(M3.d + 1):
-        assert h_map_via_solver(M3, Monomial(m, M3.n)) is None
+        assert h_map(M3, Monomial(m, M3.n)) is None
 
 
 def test_h_map_image_bound_on_generated_instances():
     for inst in configuration_instances("k2-lcm-in-B", 5):
         layers = build_poset(inst)
         for m in layers.layer_masks(inst.d + 1):
-            h = h_map_via_solver(inst, Monomial(m, inst.n))
+            h = h_map(inst, Monomial(m, inst.n))
             if h is None:
                 assert layers.s - 1 > layers.q
                 continue
@@ -412,25 +421,9 @@ def test_h_map_image_bound_on_generated_instances():
 
 
 def test_h_map_empty_when_b_is_alone():
-    h = h_map_via_solver(pair(2, [[1]]), mono(2, 1, 2))
+    h = h_map(pair(2, [[1]]), mono(2, 1, 2))
     assert h.assignments == {}
     assert find_maximal_bad_paths(h) == []
-
-
-def test_extract_rejects_unnormalized_partitions():
-    inst = pair(3, [[1]])
-    b = mono(3, 1, 2)
-    short = IntervalPartition.from_intervals(
-        [
-            Interval(mono(3, 1, 3), mono(3, 1, 3)),
-            Interval(mono(3, 1, 2, 3), mono(3, 1, 2, 3)),
-        ]
-    )
-    with pytest.raises(NotNormalized):
-        extract_h_map(inst, b, short)
-    headless = IntervalPartition.from_intervals([Interval(mono(3, 1, 2, 3), mono(3, 1, 2, 3))])
-    with pytest.raises(NotNormalized):
-        extract_h_map(inst, b, headless)
 
 
 def test_bad_path_dfs_order():

@@ -5,7 +5,7 @@ import random
 import pytest
 from oracles import brute_matching_size
 
-from sqdepth.matching import hall_violator, hopcroft_karp
+from sqdepth.matching import hopcroft_karp
 
 
 def assert_is_matching(adjacency, n_right, matching):
@@ -38,10 +38,4 @@ def test_random_graphs_match_the_oracle():
         ]
         matching = hopcroft_karp(adjacency, n_right)
         assert_is_matching(adjacency, n_right, matching)
-        assert len(matching) == brute_matching_size(adjacency, n_right)
-        violator = hall_violator(adjacency, matching)
-        if len(matching) < n_left:
-            neighbours = {v for u in violator for v in adjacency[u]}
-            assert len(violator) - len(neighbours) == n_left - len(matching)
-        else:
-            assert violator == []
+        assert len(matching) == brute_matching_size(adjacency)

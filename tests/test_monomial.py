@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from paper_lemmas import subquotient_pair
 
 from sqdepth.lab import enumerate_all_pairs
-from sqdepth.lemmas import LcmClass, lcm_pairs, subquotient_pair
+from sqdepth.lemmas import LcmClass, lcm_pairs
 from sqdepth.monomial import (
     IdealPair,
     Monomial,

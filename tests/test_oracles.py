@@ -38,8 +38,8 @@ def test_full_koszul_hand_cases():
 
 
 def test_brute_matching_hand_cases():
-    assert brute_matching_size([], 0) == 0
-    assert brute_matching_size([[0], [0]], 1) == 1
-    assert brute_matching_size([[0, 1], [0]], 2) == 2
-    assert brute_matching_size([[0, 1, 2], [1], [1]], 3) == 2
-    assert brute_matching_size([[0], [1], [2]], 3) == 3
+    assert brute_matching_size([]) == 0
+    assert brute_matching_size([[0], [0]]) == 1
+    assert brute_matching_size([[0, 1], [0]]) == 2
+    assert brute_matching_size([[0, 1, 2], [1], [1]]) == 2
+    assert brute_matching_size([[0], [1], [2]]) == 3

@@ -5,9 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from paper_lemmas import NotNormalizable, normalize_partition
 
 import sqdepth
-from sqdepth.lemmas import NotNormalizable, normalize_partition
 from sqdepth.monomial import IdealPair, Monomial
 from sqdepth.partition import (
     DEFAULT_NODE_BUDGET,
@@ -15,7 +15,6 @@ from sqdepth.partition import (
     Interval,
     IntervalPartition,
     InvalidTarget,
-    hall_necessary_check,
     matching_upper_bound,
     partition_violations,
     sdepth_decision,
@@ -193,38 +192,29 @@ def test_matching_upper_bound():
 
 
 # ---------------------------------------------------------------------------
-# Hall necessary check
+# Hall condition: matching_upper_bound(p) > d exactly when sdepth >= d+1
 
 
 def test_hall_check_fails_without_b_layer():
-    res = hall_necessary_check(pair(2, [[1], [2]], [[1, 2]]))
-    assert not res.holds
-    assert res.deficient == (mono(2, 1), mono(2, 2))
-    assert res.matching == ()
+    p = pair(2, [[1], [2]], [[1, 2]])
+    assert matching_upper_bound(p) == p.d
+    assert sdepth_exact(p).value == p.d
 
 
 def test_hall_check_maximal_ideal():
-    res = hall_necessary_check(MAXIMAL[3])
-    assert res.holds
-    assert res.matching == (
-        (mono(3, 1), mono(3, 1, 2)),
-        (mono(3, 2), mono(3, 2, 3)),
-        (mono(3, 3), mono(3, 1, 3)),
-    )
-    assert res.deficient == ()
+    assert matching_upper_bound(MAXIMAL[3]) == 3
+    assert sdepth_exact(MAXIMAL[3]).value == 2
 
 
 def test_hall_check_principal():
-    res = hall_necessary_check(pair(2, [[1]]))
-    assert res.holds
-    assert res.matching == ((mono(2, 1), mono(2, 1, 2)),)
+    p = pair(2, [[1]])
+    assert matching_upper_bound(p) == 2
+    assert sdepth_exact(p).value == 2
 
 
 def test_hall_failure_forces_floor():
     deficient = pair(3, [[1], [2], [3]], [[1, 2], [1, 3], [2, 3]])
-    res = hall_necessary_check(deficient)
-    assert not res.holds
-    assert set(res.deficient) == {mono(3, 1), mono(3, 2), mono(3, 3)}
+    assert matching_upper_bound(deficient) == deficient.d
     assert sdepth_exact(deficient).value == deficient.d
 
 

@@ -4,12 +4,12 @@ import json
 
 from hypothesis import assume, given, settings, strategies as st
 from oracles import naive_sdepth
+from paper_lemmas import normalize_partition, split_modules
 
 from sqdepth.criteria import best_upper_bound
 from sqdepth.ideal_io import pair_to_dict, pair_to_text, parse_ideal, parse_ideal_text
 from sqdepth.koszul import FieldSpec, depth, depth_profile
 from sqdepth.lab import permute_mask
-from sqdepth.lemmas import normalize_partition, split_modules
 from sqdepth.monomial import (
     IdealPair,
     ValidationError,
@@ -20,7 +20,6 @@ from sqdepth.monomial import (
     poset_masks,
 )
 from sqdepth.partition import (
-    hall_necessary_check,
     matching_upper_bound,
     sdepth_exact,
     verify_partition,
@@ -136,13 +135,7 @@ def test_depth_stays_between_d_and_n(p):
 @given(ideal_pairs())
 @settings(max_examples=40, deadline=None)
 def test_hall_failure_pins_sdepth_at_d(p):
-    check = hall_necessary_check(p)
-    if not check.holds:
-        assert sdepth_exact(p).value == p.d
-        assert check.deficient
-    else:
-        assert len(check.matching) == len(p.degree_d_masks())
-        assert sdepth_exact(p).value > p.d
+    assert (matching_upper_bound(p) > p.d) == (sdepth_exact(p).value > p.d)
 
 
 @given(ideal_pairs())
