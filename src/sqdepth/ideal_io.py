@@ -64,6 +64,8 @@ def parse_ideal_text(text: str) -> tuple[IdealPair, list[str]]:
             raise ParseError(f"line {line_no}: expected '<name> = <value>', got {raw!r}")
         name, _, rhs = line.partition("=")
         name = name.strip()
+        if name in fields:
+            raise ParseError(f"line {line_no}: field {name!r} given twice")
         if name == "n":
             try:
                 fields["n"] = int(rhs.strip())

@@ -294,10 +294,3 @@ def build_poset(pair: IdealPair) -> PosetLayers:
     for m in elems:
         rho[m.bit_count()] += 1
     return PosetLayers(pair=pair, elems=elems, rho=tuple(rho))
-
-
-def extend_pair(pair: IdealPair, extra: int = 1) -> IdealPair:
-    """The same generators viewed in a ring with ``extra`` fresh variables."""
-    if extra < 0:
-        raise ValidationError("cannot remove variables from the ambient ring")
-    return IdealPair.from_masks(pair.n + extra, pair.i_masks, pair.j_masks)

@@ -1,8 +1,9 @@
 """Full-corpus acceptance sweep.
 
 Each test covers one release gate and prints a single summary line.
-The small corpus is every valid pair with n <= 4; the large corpus is
-every canonical pair with n <= 5 plus 1000 seeded random n = 6 pairs.
+The corpora come from ``corpus.py``: the small corpus is every valid pair
+with n <= 4 and the large one every canonical pair with n <= 5; the floor
+and step sweep adds 1000 seeded random n = 6 pairs.
 """
 
 import itertools
@@ -15,16 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import full_koszul_depth, naive_sdepth
+from corpus import SEED, canonical_pairs, n5_slice, small_pairs, small_results
+from oracles import full_koszul_depth
 from paper_lemmas import HMap, configuration_instances, h_map, removal_pair, split_modules
 
 import sqdepth
-from sqdepth.criteria import best_upper_bound
 from sqdepth.koszul import depth_profile
 from sqdepth.lab import (
     Analysis,
     InstanceFamily,
-    enumerate_all_pairs,
     floor_statement,
     hunt_counterexamples,
     step_statement,
@@ -32,10 +32,9 @@ from sqdepth.lab import (
 )
 from sqdepth.lemmas import classify_lcm_configuration
 from sqdepth.monomial import IdealPair, Monomial, ValidationError, build_poset, masks_contain
-from sqdepth.partition import sdepth_decision, sdepth_exact, verify_partition
+from sqdepth.partition import matching_upper_bound, sdepth_decision, sdepth_exact, verify_partition
 
 CHARS = (0, 2, 3)
-SEED = 20260819
 
 CONFIGURATION_LABELS = (
     "k2-lcm-in-B",
@@ -52,16 +51,6 @@ CONFIGURATION_LABELS = (
     "k3-one-B-one-C-one-J",
     "k3-one-B-no-C",
 )
-
-
-def small_corpus():
-    for n in (1, 2, 3, 4):
-        yield from enumerate_all_pairs(n)
-
-
-def large_corpus_canonical():
-    for n in (1, 2, 3, 4, 5):
-        yield from enumerate_all_pairs(n, symmetry=True)
 
 
 def sample_random_pairs(n, count, seed, min_gens=1, max_gens=4, max_j=3):
@@ -88,10 +77,7 @@ def floor_step_sweep():
     step_counts = {"pass": 0, "fail": 0, "skip": 0, "mismatch": 0}
     failures = []
     total = 0
-    stream = itertools.chain(
-        large_corpus_canonical(), sample_random_pairs(6, 1000, SEED)
-    )
-    for inst in stream:
+    for inst in itertools.chain(canonical_pairs(), sample_random_pairs(6, 1000, SEED)):
         total += 1
         analysis = Analysis(inst)
         res = floor_statement(analysis)
@@ -118,10 +104,11 @@ def floor_step_sweep():
 def test_criterion_1_sdepth_matches_exhaustive_oracle():
     t0 = time.monotonic()
     checked = 0
-    for pair in small_corpus():
-        expected = naive_sdepth(pair)
-        got = sdepth_exact(pair).value
-        assert got == expected, f"{pair}: engine {got} != oracle {expected}"
+    for r in small_results():
+        pair, got = r.pair, r.sdepth.value
+        assert got == r.naive, f"{pair}: engine {got} != oracle {r.naive}"
+        assert pair.d <= got <= pair.n and got <= matching_upper_bound(pair), pair
+        assert verify_partition(pair, r.sdepth.certificate), pair
         checked += 1
     elapsed = time.monotonic() - t0
     assert checked == 5526
@@ -135,11 +122,11 @@ def test_sdepth_decision_matches_oracle_at_every_target():
     # prune of the decision search must be sound there too
     t0 = time.monotonic()
     decisions = 0
-    for pair in small_corpus():
-        expected = naive_sdepth(pair)
+    for r in small_results():
+        pair = r.pair
         for t in range(pair.d, pair.n + 1):
             part = sdepth_decision(pair, t)
-            assert (part is not None) == (t <= expected), f"{pair} target {t}"
+            assert (part is not None) == (t <= r.naive), f"{pair} target {t}"
             if part is not None:
                 assert verify_partition(pair, part), f"{pair} target {t}"
                 assert part.sdepth_value >= t
@@ -152,14 +139,16 @@ def test_sdepth_decision_matches_oracle_at_every_target():
 def test_criterion_2_depth_matches_full_koszul_oracle():
     t0 = time.monotonic()
     checked = 0
-    for pair in small_corpus():
-        profile = depth_profile(pair)
+    for r in small_results():
+        pair, profile = r.pair, r.profile
         for char in CHARS:
             expected = full_koszul_depth(pair, char)
             got = profile[char].depth
             assert got == expected, (
                 f"{pair} char {char}: engine {got} != oracle {expected}"
             )
+            # depth over Q bounds every characteristic's depth from above
+            assert pair.d <= got <= profile[0].depth <= pair.n, (pair, char)
         checked += 1
     elapsed = time.monotonic() - t0
     assert checked == 5526
@@ -194,9 +183,8 @@ def test_criterion_4_sdepth_step_bounds_depth(floor_step_sweep):
 def test_criterion_5_numeric_criteria_sound_and_sharp():
     t0 = time.monotonic()
     fired_seen = 0
-    for pair in small_corpus():
-        profile = depth_profile(pair)
-        _, verdicts = best_upper_bound(build_poset(pair))
+    for r in small_results():
+        pair, profile, verdicts = r.pair, r.profile, r.verdicts
         for v in verdicts:
             if not v.fired:
                 continue
@@ -220,7 +208,7 @@ def test_criterion_5_numeric_criteria_sound_and_sharp():
 def test_criterion_6_normalized_partitions_induce_injections():
     t0 = time.monotonic()
     solved = pigeonholed = 0
-    for inst in large_corpus_canonical():
+    for inst in canonical_pairs():
         if inst.d + 2 > inst.n:
             continue
         layers = build_poset(inst)
@@ -259,10 +247,8 @@ def test_h_map_matches_the_solver_route():
     # the solver route reads h off a d+2 partition of I_b/J_b; both routes
     # must agree on existence and on the domain, which is B minus b
     t0 = time.monotonic()
-    rng = random.Random(SEED)
-    n5_slice = (p for p in enumerate_all_pairs(5, symmetry=True) if rng.random() < 0.05)
     checked = found = 0
-    for inst in itertools.chain(small_corpus(), n5_slice):
+    for inst in small_pairs() + n5_slice():
         d = inst.d
         b_layer = build_poset(inst).layer_masks(d + 1)
         for m in b_layer:

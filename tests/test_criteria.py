@@ -9,8 +9,6 @@ import pytest
 
 import sqdepth
 from sqdepth.criteria import CriterionVerdict, best_upper_bound
-from sqdepth.koszul import depth_profile
-from sqdepth.lab import enumerate_all_pairs
 from sqdepth.monomial import IdealPair, PosetLayers, build_poset
 
 M3 = IdealPair.from_variable_lists(3, [[1], [2], [3]], [])
@@ -105,28 +103,3 @@ def test_missing_second_layer_fires_at_floor():
     deficient = pair(3, [[1], [2], [3]], [[1, 2], [1, 3], [2, 3]])
     bound, _ = best_upper_bound(build_poset(deficient))
     assert bound == deficient.d == 1
-
-
-def test_binomial_at_top_index_collapses_to_alternating():
-    for n in (1, 2, 3):
-        for p in enumerate_all_pairs(n):
-            _, verdicts = best_upper_bound(build_poset(p))
-            alt = {v.t: v for v in verdicts if v.kind == "alternating"}
-            for v in verdicts:
-                if v.kind == "binomial" and v.k == v.t + 1:
-                    a = alt[v.t]
-                    assert (v.lhs, v.rhs, v.fired) == (a.lhs, a.rhs, a.fired)
-
-
-def test_fired_bounds_are_sound_for_every_characteristic():
-    for n in (1, 2, 3):
-        for p in enumerate_all_pairs(n):
-            bound, verdicts = best_upper_bound(build_poset(p))
-            if bound is None:
-                continue
-            prof = depth_profile(p)
-            for res in prof.values():
-                assert res.depth <= bound
-            for v in verdicts:
-                if v.fired:
-                    assert all(res.depth <= v.t for res in prof.values())

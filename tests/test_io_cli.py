@@ -97,6 +97,10 @@ def test_parse_text_errors_carry_line_numbers():
         parse_ideal_text("n = 2\nI = x1\n")
     with pytest.raises(ParseError, match="line 2: empty generator"):
         parse_ideal_text("n = 2\nI = x1,,x2\nJ = 0\n")
+    with pytest.raises(ParseError, match="line 3: field 'I' given twice"):
+        parse_ideal_text("n = 3\nI = x1\nI = x2\nJ = 0\n")
+    with pytest.raises(ParseError, match="line 2: field 'n' given twice"):
+        parse_ideal_text("n = 3\nn = 2\nI = x1\nJ = 0\n")
 
 
 def test_parse_semantic_errors_are_validation_errors():
@@ -138,7 +142,7 @@ def test_parse_sniffs_json():
 
 def test_corpus_loads_clean():
     files = sorted(CORPUS.glob("*.ideal"))
-    assert len(files) == 21
+    assert len(files) == 22
     for path in files:
         p, warnings = load_ideal(path)
         assert warnings == [], path.name
@@ -317,7 +321,11 @@ SINGLE_REPORTS = {
 def test_render_text_matches_golden(kind, stem):
     """The text of each analysis golden report, and of the sdepth, depth and
     criteria reports of max-ideal-3, is byte-identical to its recorded file
-    under tests/golden/text/<kind>/<stem>.txt."""
+    under tests/golden/text/<kind>/<stem>.txt. Regenerate them all from the
+    repo root, after the analysis goldens, with
+
+    PYTHONPATH=src python3 -c "import json, pathlib, sqdepth; from sqdepth.ideal_io import load_ideal; from sqdepth.report import build_criteria_report, build_depth_report, build_sdepth_report, render_text; t = pathlib.Path('tests/golden/text'); [(t / 'analyze' / (f.stem + '.txt')).write_text(render_text(json.loads(f.read_text()))) for f in pathlib.Path('tests/golden/analyze').glob('*.json')]; m3 = load_ideal(pathlib.Path(sqdepth.__file__).parent / 'corpus' / 'max-ideal-3.ideal')[0]; [(t / k / 'max-ideal-3.txt').write_text(render_text(b(m3))) for k, b in (('sdepth', build_sdepth_report), ('depth', build_depth_report), ('criteria', build_criteria_report))]"
+    """
     if kind == "analyze":
         golden = Path(__file__).parent / "golden" / "analyze" / f"{stem}.json"
         report = json.loads(golden.read_text())
@@ -520,10 +528,14 @@ def test_cli_warns_on_redundant_input(tmp_path):
 
 def test_cli_malformed_file(tmp_path):
     f = tmp_path / "bad.ideal"
-    f.write_text("n = 2\nI = x1*y\nJ = 0\n")
-    code, _, err = run_cli(["sdepth", str(f)])
-    assert code == 2
-    assert "bad factor" in err
+    for text, message in [
+        ("n = 2\nI = x1*y\nJ = 0\n", "bad factor"),
+        ("n = 2\nJ = 0\nJ = x1\nI = 1\n", "line 3: field 'J' given twice"),
+    ]:
+        f.write_text(text)
+        code, out, err = run_cli(["sdepth", str(f)])
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "depth"])

@@ -5,10 +5,12 @@ import itertools
 import operator
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from sqdepth import koszul
+from sqdepth.ideal_io import load_ideal
 from sqdepth.koszul import (
     DepthResult,
     FieldSpec,
@@ -21,7 +23,9 @@ from sqdepth.koszul import (
 )
 from sqdepth.lab import enumerate_all_pairs
 from sqdepth.monomial import IdealPair, Monomial, difference_masks, masks_contain, poset_masks
+from sqdepth.partition import sdepth_exact
 
+from corpus import small_pairs
 from oracles import full_koszul_depth
 
 
@@ -109,16 +113,15 @@ def test_strand_bases_match_generator_scan():
     # generator scan it replaced: every sigma of every pair with n <= 4,
     # squarefree and with one squared variable, reading all of I \ J (the
     # paranoid check) or only its masks under sigma (build_strand).
-    for n in (1, 2, 3, 4):
-        for p in enumerate_all_pairs(n):
-            everything = poset_masks(p)
-            for sigma in range(1 << n):
-                under = difference_masks(p, (sigma,))
-                for squared in [0] + [1 << v for v in range(n) if sigma >> v & 1]:
-                    expected = generator_scan_bases(p, sigma, squared)
-                    for members in (everything, under):
-                        bases, _ = _strand_spaces(members, sigma, squared)
-                        assert bases == expected, (p, sigma, squared)
+    for p in small_pairs():
+        everything = poset_masks(p)
+        for sigma in range(1 << p.n):
+            under = difference_masks(p, (sigma,))
+            for squared in [0] + [1 << v for v in range(p.n) if sigma >> v & 1]:
+                expected = generator_scan_bases(p, sigma, squared)
+                for members in (everything, under):
+                    bases, _ = _strand_spaces(members, sigma, squared)
+                    assert bases == expected, (p, sigma, squared)
 
 
 def test_depth_reads_only_masks_under_the_lcm_lattices():
@@ -222,14 +225,11 @@ def test_paranoid_refuses_large_rings():
         depth(pair(7, [[1]]), paranoid=True)
 
 
-def test_depth_bounds_and_semicontinuity_small():
-    for n in (1, 2, 3):
-        for p in enumerate_all_pairs(n):
-            prof = depth_profile(p)
-            d0 = prof[0].depth
-            assert p.d <= d0 <= p.n
-            for c in (2, 3):
-                assert p.d <= prof[c].depth <= d0
+def test_five_cycle_depth_depends_on_the_field():
+    p, _ = load_ideal(Path(koszul.__file__).parent / "corpus" / "five-cycle-torsion.ideal")
+    prof = depth_profile(p, fields=tuple(FieldSpec(c) for c in (0, 2, 3, 5, 7)))
+    assert {c: r.depth for c, r in prof.items()} == {0: 3, 2: 2, 3: 3, 5: 3, 7: 3}
+    assert sdepth_exact(p).value == 3
 
 
 def test_depth_against_independent_assembly():
@@ -265,15 +265,14 @@ def lcm_lattice(masks):
 
 def test_homology_vanishes_off_lcm_lattices():
     fields = [FieldSpec(c) for c in (0, 2, 3)]
-    for n in (1, 2, 3, 4):
-        for p in enumerate_all_pairs(n):
-            lattice = lcm_lattice(p.i_masks) | lcm_lattice(p.j_masks)
-            assert set(koszul._scan_masks(p)) == lattice
-            for mask in range(1 << n):
-                if mask in lattice:
-                    continue
-                for f in fields:
-                    assert not any(build_strand(p, Monomial(mask, n), f).homology), (p, mask, f)
+    for p in small_pairs():
+        lattice = lcm_lattice(p.i_masks) | lcm_lattice(p.j_masks)
+        assert set(koszul._scan_masks(p)) == lattice
+        for mask in range(1 << p.n):
+            if mask in lattice:
+                continue
+            for f in fields:
+                assert not any(build_strand(p, Monomial(mask, p.n), f).homology), (p, mask, f)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12, 16])

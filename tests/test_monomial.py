@@ -4,9 +4,9 @@ import itertools
 import random
 
 import pytest
+from corpus import small_pairs
 from paper_lemmas import subquotient_pair
 
-from sqdepth.lab import enumerate_all_pairs
 from sqdepth.lemmas import LcmClass, lcm_pairs
 from sqdepth.monomial import (
     IdealPair,
@@ -15,7 +15,6 @@ from sqdepth.monomial import (
     ValidationError,
     build_poset,
     difference_masks,
-    extend_pair,
     ideal_masks,
     mask_key,
     mask_variables,
@@ -255,19 +254,18 @@ def test_poset_table_against_brute_force():
     """Canonical order, layer starts, index and upper covers of every pair
     with n <= 4, against a direct recomputation from the poset's masks."""
     count = 0
-    for n in (1, 2, 3, 4):
-        for p in enumerate_all_pairs(n):
-            layers = build_poset(p)
-            assert layers.elems == tuple(sorted(poset_masks(p), key=mask_key))
-            assert layers.start == tuple(itertools.accumulate((*layers.rho, 0), initial=0))
-            for i, m in enumerate(layers.elems):
-                assert layers.index[m] == i
-                above = layers.layer_masks(m.bit_count() + 1)
-                covers = [m | 1 << v for v in range(n) if not m >> v & 1]
-                assert layers.up[i] == tuple(above.index(c) for c in covers if c in above)
-            for k in range(n + 1):
-                assert layers.layer_masks(k) == tuple(m for m in layers.elems if m.bit_count() == k)
-            count += 1
+    for p in small_pairs():
+        layers = build_poset(p)
+        assert layers.elems == tuple(sorted(poset_masks(p), key=mask_key))
+        assert layers.start == tuple(itertools.accumulate((*layers.rho, 0), initial=0))
+        for i, m in enumerate(layers.elems):
+            assert layers.index[m] == i
+            above = layers.layer_masks(m.bit_count() + 1)
+            covers = [m | 1 << v for v in range(p.n) if not m >> v & 1]
+            assert layers.up[i] == tuple(above.index(c) for c in covers if c in above)
+        for k in range(p.n + 1):
+            assert layers.layer_masks(k) == tuple(m for m in layers.elems if m.bit_count() == k)
+        count += 1
     assert count == 5526
 
 
@@ -339,14 +337,3 @@ def test_subquotient_drops_swallowed_generators():
     assert p is not None
     assert p.i_masks == (0b10,)
     assert p.j_masks == (0b11,)
-
-
-def test_extend_pair():
-    p = pair(2, [[1], [2]], [[1, 2]])
-    q = extend_pair(p)
-    assert q.n == 3
-    assert q.i_masks == p.i_masks
-    assert q.j_masks == p.j_masks
-    assert extend_pair(p, 2).n == 4
-    with pytest.raises(ValidationError):
-        extend_pair(p, -1)

@@ -66,17 +66,6 @@ def test_sdepth_result_fields():
     assert verify_partition(MAXIMAL[3], res.certificate)
 
 
-def test_certificates_verify_on_small_corpus():
-    from sqdepth.lab import enumerate_all_pairs
-
-    for n in (1, 2, 3):
-        for p in enumerate_all_pairs(n):
-            res = sdepth_exact(p)
-            assert p.d <= res.value <= p.n
-            assert verify_partition(p, res.certificate)
-            assert res.value <= matching_upper_bound(p)
-
-
 def test_certificate_intervals_in_canonical_order():
     res = sdepth_exact(MAXIMAL[3])
     keys = [iv.lo.sort_key() for iv in res.certificate.intervals]

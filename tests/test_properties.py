@@ -14,7 +14,6 @@ from sqdepth.monomial import (
     IdealPair,
     ValidationError,
     build_poset,
-    extend_pair,
     masks_contain,
     minimalize_masks,
     poset_masks,
@@ -107,7 +106,7 @@ def test_certificate_is_valid_and_bounded(p):
 @given(ideal_pairs(max_n=3))
 @settings(max_examples=25, deadline=None)
 def test_adding_a_free_variable_shifts_depths(p):
-    q = extend_pair(p)
+    q = IdealPair.from_masks(p.n + 1, p.i_masks, p.j_masks)
     assert q.n == p.n + 1
     assert sdepth_exact(q).value == sdepth_exact(p).value + 1
     assert depth(q, Q).depth == depth(p, Q).depth + 1

@@ -9,7 +9,7 @@ import sqdepth
 
 MODULES = sorted(p for p in Path(sqdepth.__file__).parent.glob("*.py") if p.name != "__init__.py")
 # the test-support modules are held to the same lint as the package
-LINTED = MODULES + [Path(__file__).parent / name for name in ("oracles.py", "paper_lemmas.py")]
+LINTED = MODULES + [Path(__file__).parent / name for name in ("corpus.py", "oracles.py", "paper_lemmas.py")]
 
 
 def unused_imports(source: str) -> list[str]:
