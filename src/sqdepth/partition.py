@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .criteria import best_upper_bound
-from .matching import hopcroft_karp
+from .matching import saturating_matching
 from .monomial import (
     IdealPair,
     InvariantError,
@@ -197,7 +197,7 @@ class _DecisionSearch:
             return True
         up = self.poset.up
         adjacency = [[p for p in up[lo + i] if free_up >> p & 1] for i in left]
-        return len(hopcroft_karp(adjacency, hi - mid)) < len(left)
+        return saturating_matching(adjacency) is None
 
     def _branch_element(self, covered: int, first: int) -> int | None:
         """The uncovered element of the lowest uncovered degree with the
@@ -322,9 +322,7 @@ def matching_upper_bound(pair: IdealPair) -> int:
         if g in poset.index:
             by_degree.setdefault(g.bit_count(), []).append(poset.up[poset.index[g]])
     for j in sorted(by_degree):
-        adjacency = by_degree[j]
-        n_up = poset.start[j + 2] - poset.start[j + 1]
-        if len(hopcroft_karp(adjacency, n_up)) < len(adjacency):
+        if saturating_matching(by_degree[j]) is None:
             return j
     return pair.n
 

@@ -1,9 +1,10 @@
 """Analysis reports: one JSON document per run, rendered to text separately.
 
 The JSON document is the single source of truth; ``render_text`` and
-``render_hunt_text`` are pure functions of it.  Sections that fail carry an
-``error`` slot instead of aborting the whole report.  ``elapsed_ms`` stays
-null unless timing was requested, keeping equal-seed reports byte-identical.
+``render_hunt_text`` are pure functions of it.  An exhausted sdepth budget
+and an lcm classification that does not apply carry an ``error`` slot in
+their section; an engine fault raises.  ``elapsed_ms`` stays null unless
+timing was requested, keeping equal-seed reports byte-identical.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ _SKIP_REASONS = {"floor": "sdepth above the floor", "step": "sdepth not d+1"}
 
 def _theorem_slots(analysis: Analysis, report: dict) -> dict:
     """Floor/step verdicts read off the results the other sections already hold."""
-    if "error" in report["sdepth"] or "error" in report["depth"]:
+    if "error" in report["sdepth"]:
         return {
             name: {"status": "skip", "reason": "engine result unavailable"}
             for name in _SKIP_REASONS
@@ -147,8 +148,10 @@ def build_analysis_report(
 ) -> dict:
     """Run every engine on the pair once and assemble the JSON analysis document.
 
-    A failing depth computation becomes the depth section's error slot; a
-    paranoid request that ``Analysis`` refuses raises before any engine runs.
+    An exhausted budget becomes the sdepth section's error slot. A depth
+    engine fault, such as a failed paranoid check, raises as it does from
+    ``build_depth_report``; a paranoid request that ``Analysis`` refuses
+    raises before any engine runs.
     """
     t0 = time.monotonic()
     analysis = Analysis(pair, tuple(FieldSpec(c) for c in chars), budget, paranoid)
@@ -156,10 +159,7 @@ def build_analysis_report(
     layers = build_poset(pair)
     report["poset"] = _poset_section(layers)
     report["sdepth"] = _sdepth_section(analysis)
-    try:
-        report["depth"] = _depth_section(analysis)
-    except Exception as exc:  # pragma: no cover - engine errors are reported, not raised
-        report["depth"] = _error_slot(exc)
+    report["depth"] = _depth_section(analysis)
     report["criteria"] = _criteria_section(layers)
     report["lcm_configuration"] = _lcm_section(pair)
     report["theorems"] = _theorem_slots(analysis, report)
@@ -272,8 +272,6 @@ def _sdepth_lines(sd: dict, show_certificate: bool = True) -> list[str]:
 
 
 def _depth_lines(dep: dict, witness: bool = True) -> list[str]:
-    if "error" in dep:
-        return [f"depth      {dep['error']}"]
     lines = []
     for char, entry in dep.items():
         line = f"depth      char {char}: {entry['depth']}"

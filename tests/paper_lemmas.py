@@ -5,8 +5,8 @@
 * instance builders for each lcm configuration of ``sqdepth.lemmas``;
 * ``normalize_partition``, which rewrites a partition into the normal form
   the decision search explores;
-* injections h: B\\{b} -> C, read off a maximum matching, and the divisor
-  paths through h.
+* injections h: B\\{b} -> C, read off a matching that covers B\\{b}, and
+  the divisor paths through h.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from sqdepth.lemmas import NotApplicable, classify_lcm_configuration
-from sqdepth.matching import hopcroft_karp
+from sqdepth.matching import saturating_matching
 from sqdepth.monomial import (
     IdealPair,
     Monomial,
@@ -282,18 +282,16 @@ def h_map(inst: IdealPair, b: Monomial) -> HMap | None:
     neighbours. The Hall condition is exact (see ``matching_upper_bound``):
     sdepth(I_b/J_b) >= d+2 holds exactly when B\\{b} matches into C along
     ``up``, and a saturating matching mu is the normalized partition
-    {[b', mu(b')]} of that layer. So h is a maximum matching, and it
-    exists exactly when the matching saturates.
+    {[b', mu(b')]} of that layer. So h is any matching that covers B\\{b},
+    and it exists exactly when one does.
     """
     poset = build_poset(inst)
     lo, hi = poset.start[inst.d + 1], poset.start[inst.d + 2]
     rest = [i for i in range(lo, hi) if poset.elems[i] != b.mask]
     if not rest:
         return HMap(b, {})
-    if inst.d + 2 > inst.n:
-        return None
-    matching = hopcroft_karp([poset.up[i] for i in rest], poset.start[inst.d + 3] - hi)
-    if len(matching) < len(rest):
+    matching = saturating_matching([poset.up[i] for i in rest])
+    if matching is None:
         return None
     return HMap(b, {
         Monomial(poset.elems[rest[u]], inst.n): Monomial(poset.elems[hi + v], inst.n)

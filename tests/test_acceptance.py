@@ -334,7 +334,7 @@ def test_criterion_8_split_sequences_obey_depth_rules():
           f"the sdepth inequality ({elapsed:.0f}s)")
 
 
-def test_criterion_9_reports_are_deterministic(tmp_path):
+def test_criterion_9_reports_are_deterministic():
     fam = InstanceFamily(5, 1, 3, j_policy="random")
     first = hunt_counterexamples(fam, "floor", limit=40, seed=7)
     second = hunt_counterexamples(fam, "floor", limit=40, seed=7)

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import sqdepth
-from sqdepth import lab
+from sqdepth import koszul, lab
 from sqdepth.cli import main
 from sqdepth.ideal_io import (
     ParseError,
@@ -547,9 +547,18 @@ def test_cli_paranoid_refuses_large_rings(tmp_path, command):
     assert err == "error: paranoid concentration check is limited to n <= 6\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_cli_paranoid_raises_on_homology_off_the_scan(monkeypatch, command):
+    # m_3 has homology at x1x2 (H_1); a scan that skips it must stop both
+    # commands alike, not turn into a report that exits 0.
+    monkeypatch.setattr(koszul, "_scan_masks", lambda p: [(1 << p.n) - 1])
+    with pytest.raises(koszul.StrandInvariantError, match="off the lcm lattices"):
+        run_cli([command, M3_FILE, "--paranoid"])
+
+
 def test_cli_symmetry_refuses_nine_variables(monkeypatch):
     def no_table(*args):
-        raise AssertionError("a permutation table was built")
+        raise AssertionError(f"a permutation table was built: permute_mask{args}")
 
     monkeypatch.setattr(lab, "permute_mask", no_table)
     code, out, err = run_cli(["verify", "step", "--n", "9", "--exhaustive", "--symmetry"])
@@ -598,7 +607,7 @@ def test_cli_usage_errors_exit_two():
     assert info.value.code == 2
 
 
-def test_cli_subprocess_determinism(tmp_path):
+def test_cli_subprocess_determinism():
     cmd = [
         sys.executable, "-m", "sqdepth.cli",
         "hunt", "--check", "floor", "--n", "3", "--k", "2",

@@ -215,7 +215,7 @@ def test_paranoid_matches_normal_on_small_pairs():
 
 def test_paranoid_catches_homology_off_the_scan(monkeypatch):
     # m_3 has homology at x1x2 (H_1); a scan that skipped it must be caught.
-    monkeypatch.setattr(koszul, "_scan_masks", lambda p: [0b111])
+    monkeypatch.setattr(koszul, "_scan_masks", lambda p: [(1 << p.n) - 1])
     with pytest.raises(StrandInvariantError, match="off the lcm lattices"):
         depth(pair(3, [[1], [2], [3]]), paranoid=True)
 

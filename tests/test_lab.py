@@ -216,7 +216,7 @@ def test_symmetric_family_counts(n, d, k, with_e, count):
 
 def test_symmetry_reduction_refused_above_eight_variables(monkeypatch):
     def no_table(*args):
-        raise AssertionError("a permutation table was built")
+        raise AssertionError(f"a permutation table was built: permute_mask{args}")
 
     monkeypatch.setattr(lab, "permute_mask", no_table)
     fam = InstanceFamily(9, 1, 2, j_policy="exhaustive", symmetry_reduction=True)

@@ -1,31 +1,35 @@
-"""Hopcroft-Karp matching against the brute-force oracle and on long paths."""
+"""The saturating matcher against the brute-force oracle and on long paths.
+
+``saturating_matching`` returns None exactly when no matching covers the
+left side, and otherwise a matching that covers it.
+"""
 
 import random
 
 import pytest
 from oracles import brute_matching_size
 
-from sqdepth.matching import hopcroft_karp
+from sqdepth.matching import saturating_matching
 
 
-def assert_is_matching(adjacency, n_right, matching):
+def assert_covers(adjacency, matching):
+    """``matching`` is injective, runs along edges and covers every left vertex."""
+    assert sorted(matching) == list(range(len(adjacency)))
     assert len(set(matching.values())) == len(matching)
     for u, v in matching.items():
-        assert v in adjacency[u] and 0 <= v < n_right
+        assert v in adjacency[u]
 
 
 def chain(length):
     """Left vertex i meets right i and i+1; one extra left vertex, last, meets
     right 0, so the final augmenting path runs the whole chain."""
-    return [[i, i + 1] for i in range(length)] + [[0]], length + 1
+    return [[i, i + 1] for i in range(length)] + [[0]]
 
 
 @pytest.mark.parametrize("length", [1_200, 5_000])
 def test_augmenting_path_longer_than_the_recursion_limit(length):
-    adjacency, n_right = chain(length)
-    matching = hopcroft_karp(adjacency, n_right)
-    assert len(matching) == length + 1
-    assert_is_matching(adjacency, n_right, matching)
+    adjacency = chain(length)
+    assert_covers(adjacency, saturating_matching(adjacency))
 
 
 def test_random_graphs_match_the_oracle():
@@ -36,6 +40,16 @@ def test_random_graphs_match_the_oracle():
         adjacency = [
             [v for v in range(n_right) if rng.random() < density] for _ in range(n_left)
         ]
-        matching = hopcroft_karp(adjacency, n_right)
-        assert_is_matching(adjacency, n_right, matching)
-        assert len(matching) == brute_matching_size(adjacency)
+        matching = saturating_matching(adjacency)
+        if brute_matching_size(adjacency) < n_left:
+            assert matching is None
+        else:
+            assert_covers(adjacency, matching)
+
+
+def test_empty_left_side_is_covered():
+    assert saturating_matching([]) == {}
+
+
+def test_left_vertex_without_edges_is_not_covered():
+    assert saturating_matching([[0], [], [1]]) is None

@@ -7,9 +7,10 @@ import pytest
 
 import sqdepth
 
-MODULES = sorted(p for p in Path(sqdepth.__file__).parent.glob("*.py") if p.name != "__init__.py")
-# the test-support modules are held to the same lint as the package
-LINTED = MODULES + [Path(__file__).parent / name for name in ("corpus.py", "oracles.py", "paper_lemmas.py")]
+SOURCES = sorted(Path(sqdepth.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# every test module is held to the same lint as the package
+LINTED = MODULES + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -127,3 +128,19 @@ def test_unused_parameter_check_finds_unread_names():
 @pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """``assert`` statements, which ``python -O`` strips: the package states
+    its invariants as raised exceptions instead."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_check_finds_assert_statements():
+    source = "assert x\ndef f(y):\n    if y:\n        assert y, 'y'\n    raise AssertionError(y)\n"
+    assert assert_statements(source) == ["line 1", "line 4"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []
